@@ -36,30 +36,33 @@ let filter_morsel pred rows ~lo ~hi =
     out
   end
 
+(* Over a base relation (one with a cached batch) the selected rows
+   are memoized in the scan cache entry: a block whose predicate does
+   not change between statements is filtered once, not once per
+   statement.  Either way the result shares the input's rows, so it
+   is built without re-checking their arity. *)
 let select pred rel =
   let rows = Relation.rows rel in
   let n = Array.length rows in
-  match Batch.filter_plan pred rel with
-  | Some plan ->
-      let gather sel = Array.map (fun i -> Array.unsafe_get rows i) sel in
-      let picked =
+  let filter () =
+    match Batch.filter_plan pred rel with
+    | Some plan ->
+        let gather sel = Array.map (fun i -> Array.unsafe_get rows i) sel in
         if not (Pool.use_parallel n) then gather (plan ~lo:0 ~hi:n)
         else
           Array.concat
             (Array.to_list
                (Pool.parallel_chunks ~n (fun _ledger ~lo ~hi ->
                     gather (plan ~lo ~hi))))
-      in
-      Relation.make (Relation.schema rel) picked
-  | None ->
-      if not (Pool.use_parallel n) then
-        Relation.filter (Expr.holds pred) rel
-      else
-        Relation.make (Relation.schema rel)
-          (Array.concat
-             (Array.to_list
-                (Pool.parallel_chunks ~n (fun _ledger ~lo ~hi ->
-                     filter_morsel pred rows ~lo ~hi))))
+    | None ->
+        if not (Pool.use_parallel n) then filter_morsel pred rows ~lo:0 ~hi:n
+        else
+          Array.concat
+            (Array.to_list
+               (Pool.parallel_chunks ~n (fun _ledger ~lo ~hi ->
+                    filter_morsel pred rows ~lo ~hi)))
+  in
+  Relation.restrict rel (Batch.select_memo pred rel filter)
 
 let project_cols idxs rel = Relation.project rel idxs
 
@@ -93,4 +96,4 @@ let distinct rel = Relation.dedup rel
 let limit n rel =
   let rows = Relation.rows rel in
   let n = min n (Array.length rows) in
-  Relation.make (Relation.schema rel) (Array.sub rows 0 n)
+  Relation.restrict rel (Array.sub rows 0 n)

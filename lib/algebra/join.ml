@@ -100,6 +100,15 @@ let vec_hash vecs idxs row i =
   | Some (h, _) -> Array.unsafe_get h i
   | None -> Row.hash_on idxs row
 
+(* Equal keys and a residual that holds; a trivially true residual
+   needs no concatenated row to test. *)
+let pair_matches ~lpos ~rpos ~residual_pred lrow rrow =
+  Array.for_all2 (fun li ri -> Value.equal lrow.(li) rrow.(ri)) lpos rpos
+  &&
+  match residual_pred with
+  | Expr.Lit3 Three_valued.True -> true
+  | p -> Expr.holds p (Row.concat lrow rrow)
+
 (* The shared probe step: the same expression in the serial and
    parallel paths, so their match lists are identical by construction.
    The key hash is the caller's — precomputed columnar vector entry or
@@ -107,11 +116,7 @@ let vec_hash vecs idxs row i =
 let probe_one tbl ~h ~lpos ~rpos ~residual_pred lrow =
   Hashtbl.find_all tbl h
   |> List.rev (* restore build order *)
-  |> List.filter (fun rrow ->
-         Array.for_all2
-           (fun li ri -> Value.equal lrow.(li) rrow.(ri))
-           lpos rpos
-         && Expr.holds residual_pred (Row.concat lrow rrow))
+  |> List.filter (pair_matches ~lpos ~rpos ~residual_pred lrow)
 
 let join_serial kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs
     left_rows right_rows =
@@ -134,6 +139,43 @@ let join_serial kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs
             ~lpos ~rpos ~residual_pred lrow
       in
       acc := emit kind ~right_arity lrow matches !acc)
+    left_rows;
+  List.rev !acc
+
+(* The same join built on the left input, for when it is the smaller
+   side: hash the left rows' indices, stream the right rows through
+   that table, and collect each left row's matches.  Streaming the
+   right side backwards and consing leaves each list in right (build)
+   order — exactly what [probe_one] returns — so emitting in left order
+   reproduces [join_serial]'s output, with the same one checkpoint and
+   one probe count per left row.  The pairs are tested in a different
+   order, so this is only equivalent when the residual cannot raise
+   (see [join]). *)
+let join_serial_left_build kind ~lpos ~rpos ~residual_pred ~right_arity
+    ~lvecs ~rvecs left_rows right_rows =
+  let nl = Array.length left_rows in
+  let tbl = Hashtbl.create (max 16 nl) in
+  Array.iteri
+    (fun i lrow ->
+      if not (vec_null lvecs lpos lrow i) then
+        Hashtbl.add tbl (vec_hash lvecs lpos lrow i) i)
+    left_rows;
+  let matches = Array.make nl [] in
+  for j = Array.length right_rows - 1 downto 0 do
+    let rrow = right_rows.(j) in
+    if not (vec_null rvecs rpos rrow j) then
+      List.iter
+        (fun i ->
+          if pair_matches ~lpos ~rpos ~residual_pred left_rows.(i) rrow then
+            matches.(i) <- rrow :: matches.(i))
+        (Hashtbl.find_all tbl (vec_hash rvecs rpos rrow j))
+  done;
+  let acc = ref [] in
+  Array.iteri
+    (fun i lrow ->
+      Nra_guard.Guard.tick ();
+      incr stats_probes;
+      acc := emit kind ~right_arity lrow matches.(i) !acc)
     left_rows;
   List.rev !acc
 
@@ -291,42 +333,54 @@ let join_grace kind ~lpos ~rpos ~residual_pred ~right_arity ~frames ~lvecs
   done;
   List.rev !acc
 
+(* The equi-join set-up shared by [join] and [hash_join_serial]: key
+   positions, residual and key-hash vectors, handed to [k] with the
+   row arrays. *)
+let with_equi kind left right equi residual k =
+  let lpos = Array.of_list (List.map fst equi) in
+  let rpos = Array.of_list (List.map snd equi) in
+  let right_arity = Schema.arity (Relation.schema right) in
+  let residual_pred = Expr.conj residual in
+  let lvecs = key_vectors left lpos and rvecs = key_vectors right rpos in
+  let rows =
+    k ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs
+      (Relation.rows left) (Relation.rows right)
+  in
+  Relation.of_rows (out_schema kind left right) rows
+
+let hash_join_serial ~build kind ~on left right =
+  let left_arity = Schema.arity (Relation.schema left) in
+  match Expr.split_equi ~left_arity on with
+  | [], _ -> invalid_arg "Join.hash_join_serial: no equi-conjunct"
+  | equi, residual ->
+      with_equi kind left right equi residual
+        (match build with
+        | `Left -> join_serial_left_build kind
+        | `Right -> join_serial kind)
+
 let join kind ~on left right =
   let left_arity = Schema.arity (Relation.schema left) in
   let equi, residual = Expr.split_equi ~left_arity on in
   if equi = [] then nested_loop kind ~on left right
-  else begin
-    let lpos = Array.of_list (List.map fst equi) in
-    let rpos = Array.of_list (List.map snd equi) in
-    let left_rows = Relation.rows left in
-    let right_rows = Relation.rows right in
-    let right_arity = Schema.arity (Relation.schema right) in
-    let residual_pred = Expr.conj residual in
-    let lvecs = key_vectors left lpos and rvecs = key_vectors right rpos in
-    let spill =
-      match Nra_storage.Bufpool.frames () with
-      | Some f when Nra_storage.Iosim.pages (Array.length right_rows) > f ->
-          Some f
-      | _ -> None
-    in
-    let rows =
-      match spill with
-      | Some frames ->
-          (* the grace/hybrid path runs its spilled partitions under
-             the Domain pool itself (iter_raw workers + owner-side
-             ledger replay), so out-of-core and parallel compose *)
-          join_grace kind ~lpos ~rpos ~residual_pred ~right_arity ~frames
-            ~lvecs ~rvecs left_rows right_rows
-      | None ->
-          if
-            Pool.use_parallel
-              (max (Array.length left_rows) (Array.length right_rows))
-          then
-            join_parallel kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs
-              ~rvecs left_rows right_rows
-          else
-            join_serial kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs
-              ~rvecs left_rows right_rows
-    in
-    Relation.of_rows (out_schema kind left right) rows
-  end
+  else
+    with_equi kind left right equi residual
+    @@ fun ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs left_rows
+           right_rows ->
+    let nl = Array.length left_rows and nr = Array.length right_rows in
+    match Nra_storage.Bufpool.frames () with
+    | Some frames when Nra_storage.Iosim.pages nr > frames ->
+        (* the grace/hybrid path runs its spilled partitions under the
+           Domain pool itself (iter_raw workers + owner-side ledger
+           replay), so out-of-core and parallel compose *)
+        join_grace kind ~lpos ~rpos ~residual_pred ~right_arity ~frames
+          ~lvecs ~rvecs left_rows right_rows
+    | _ ->
+        if Pool.use_parallel (max nl nr) then
+          join_parallel kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs
+            ~rvecs left_rows right_rows
+        else if nl < nr && Batch.vectorizable residual_pred then
+          join_serial_left_build kind ~lpos ~rpos ~residual_pred
+            ~right_arity ~lvecs ~rvecs left_rows right_rows
+        else
+          join_serial kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs
+            ~rvecs left_rows right_rows

@@ -26,6 +26,23 @@ val join : kind -> on:Expr.pred -> Relation.t -> Relation.t -> Relation.t
 (** [on] is over the concatenated frame (left columns then right
     columns), even for [Semi]/[Anti]. *)
 
+(** The serial in-memory hash join normally builds its table on the
+    right input and probes it with the left rows.  When the left input
+    is strictly smaller and the residual (the non-equi conjuncts)
+    cannot raise — trivially true or {!Nra_relational.Batch.vectorizable}
+    — it builds on the left instead and streams the right rows through.
+    The output, the checkpoint count and {!stats_probes} are the same
+    either way.  The grace (spilling) and parallel paths always build
+    on the right. *)
+
+val hash_join_serial :
+  build:[ `Left | `Right ] -> kind -> on:Expr.pred -> Relation.t ->
+  Relation.t -> Relation.t
+(** The serial in-memory hash join with the build side forced,
+    whatever the sizes and residual; used by tests to pin the two
+    builds against each other.
+    @raise Invalid_argument if [on] has no equi-conjunct. *)
+
 val nested_loop : kind -> on:Expr.pred -> Relation.t -> Relation.t ->
   Relation.t
 (** Reference implementation; used by tests to validate [join] and by

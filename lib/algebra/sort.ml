@@ -16,4 +16,4 @@ let sort keys rel =
   in
   let rows = Array.copy (Relation.rows rel) in
   Array.stable_sort cmp rows;
-  Relation.make (Relation.schema rel) rows
+  Relation.restrict rel rows

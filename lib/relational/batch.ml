@@ -241,27 +241,53 @@ let to_relation t =
 (* ------------------------------------------------------------------ *)
 (* Scan-time cache, keyed on the rows array's physical identity.
    Relations are immutable (DML builds fresh arrays; [Table.alias]
-   shares them), so identity is a sound key.  Owner-domain only. *)
+   shares them), so identity is a sound key.  Least recently used
+   first out: a [find] or [prime] hit moves the entry to the front.
+   Owner-domain only.
 
-let cache : (Row.t array * t) list ref = ref []
+   Each entry also memoizes the row selections [Basic.select] made over
+   it, keyed on the predicate compared structurally.  A selection is a
+   function of the rows and the predicate alone (positional columns, no
+   parameters left after planning), so the same key over the same
+   array is the same answer in every statement; it is evicted with its
+   entry, and at most [selections_per_entry] are kept, most recently
+   used first. *)
+
+type entry = {
+  rows : Row.t array;
+  batch : t;
+  mutable selections : (Expr.pred * Row.t array) list;
+}
+
+let cache : entry list ref = ref []
 let cache_limit = 32
+let selections_per_entry = 16
 
-let find rel =
-  let rows = Relation.rows rel in
-  List.find_map (fun (k, b) -> if k == rows then Some b else None) !cache
+(* Move the first element satisfying [hit] to the front of the list. *)
+let to_front hit l =
+  match List.partition hit l with
+  | [], _ -> (None, l)
+  | x :: _, rest -> (Some x, x :: rest)
+
+let lookup rows =
+  match !cache with
+  | e :: _ when e.rows == rows -> Some e
+  | l ->
+      let hit, l = to_front (fun e -> e.rows == rows) l in
+      cache := l;
+      hit
+
+let find rel = Option.map (fun e -> e.batch) (lookup (Relation.rows rel))
 
 let prime rel =
   if enabled () && not (Relation.is_empty rel) then
-    match find rel with
+    match lookup (Relation.rows rel) with
     | Some _ -> ()
     | None ->
-        let b = of_relation rel in
-        let trimmed =
-          if List.length !cache >= cache_limit then
-            List.filteri (fun i _ -> i < cache_limit - 1) !cache
-          else !cache
+        let e =
+          { rows = Relation.rows rel; batch = of_relation rel; selections = [] }
         in
-        cache := (Relation.rows rel, b) :: trimmed
+        cache := e :: List.filteri (fun i _ -> i < cache_limit - 1) !cache
 
 let drop_cache () = cache := []
 
@@ -271,6 +297,27 @@ let set_enabled b =
 
 let for_relation rel =
   match find rel with Some b -> b | None -> of_relation rel
+
+let select_memo pred rel compute =
+  match lookup (Relation.rows rel) with
+  | None -> compute ()
+  | Some e -> (
+      match to_front (fun (p, _) -> p = pred) e.selections with
+      | Some (_, picked), l ->
+          e.selections <- l;
+          picked
+      | None, l ->
+          let picked = compute () in
+          e.selections <-
+            (pred, picked)
+            :: List.filteri (fun i _ -> i < selections_per_entry - 1) l;
+          picked)
+
+let memoized rel =
+  let rows = Relation.rows rel in
+  match List.find_opt (fun e -> e.rows == rows) !cache with
+  | None -> 0
+  | Some e -> List.length e.selections
 
 (* ------------------------------------------------------------------ *)
 (* Key-hash vectors for hash join and nest.
@@ -509,38 +556,46 @@ let null_plan b ci ~want_null : producer =
     done;
     out
 
-let rec compile b (p : Expr.pred) : producer option =
+(* The vectorizable subset, decided syntactically: [compile] accepts
+   exactly these forms.  Comparison is total ([Value.cmp3]), so no
+   predicate in the subset can raise. *)
+let atom = function Expr.Col _ | Expr.Const _ -> true | _ -> false
+
+let rec vectorizable (p : Expr.pred) =
   match p with
-  | Expr.Lit3 t -> Some (const_plan (t = T3.True))
-  | Expr.And (p, q) -> (
-      match (compile b p, compile b q) with
-      | Some f, Some g ->
-          Some
-            (fun ~lo ~hi ->
-              let m = f ~lo ~hi in
-              Bitset.inter_into ~into:m (g ~lo ~hi);
-              m)
-      | _ -> None)
-  | Expr.Or (p, q) -> (
-      match (compile b p, compile b q) with
-      | Some f, Some g ->
-          Some
-            (fun ~lo ~hi ->
-              let m = f ~lo ~hi in
-              Bitset.union_into ~into:m (g ~lo ~hi);
-              m)
-      | _ -> None)
-  | Expr.Cmp (op, Expr.Col i, Expr.Const v) -> Some (cmp_col_const b op i v)
+  | Expr.Lit3 _ -> true
+  | Expr.And (p, q) | Expr.Or (p, q) -> vectorizable p && vectorizable q
+  | Expr.Cmp (_, x, y) -> atom x && atom y
+  | Expr.Is_null x | Expr.Is_not_null x -> atom x
+  | Expr.In_list (x, _) -> atom x
+  | Expr.Between (x, lo, hi) -> atom x && atom lo && atom hi
+  | Expr.Not _ | Expr.Like _ -> false
+
+let rec compile b (p : Expr.pred) : producer =
+  match p with
+  | Expr.Lit3 t -> const_plan (t = T3.True)
+  | Expr.And (p, q) ->
+      let f = compile b p and g = compile b q in
+      fun ~lo ~hi ->
+        let m = f ~lo ~hi in
+        Bitset.inter_into ~into:m (g ~lo ~hi);
+        m
+  | Expr.Or (p, q) ->
+      let f = compile b p and g = compile b q in
+      fun ~lo ~hi ->
+        let m = f ~lo ~hi in
+        Bitset.union_into ~into:m (g ~lo ~hi);
+        m
+  | Expr.Cmp (op, Expr.Col i, Expr.Const v) -> cmp_col_const b op i v
   | Expr.Cmp (op, Expr.Const v, Expr.Col i) ->
-      Some (cmp_col_const b (T3.flip_op op) i v)
-  | Expr.Cmp (op, Expr.Col i, Expr.Col j) -> Some (cmp_col_col b op i j)
+      cmp_col_const b (T3.flip_op op) i v
+  | Expr.Cmp (op, Expr.Col i, Expr.Col j) -> cmp_col_col b op i j
   | Expr.Cmp (op, Expr.Const u, Expr.Const v) ->
-      Some (const_plan (T3.cmp op u v = T3.True))
-  | Expr.Is_null (Expr.Col i) -> Some (null_plan b i ~want_null:true)
-  | Expr.Is_not_null (Expr.Col i) -> Some (null_plan b i ~want_null:false)
-  | Expr.Is_null (Expr.Const v) -> Some (const_plan (Value.is_null v))
-  | Expr.Is_not_null (Expr.Const v) ->
-      Some (const_plan (not (Value.is_null v)))
+      const_plan (T3.cmp op u v = T3.True)
+  | Expr.Is_null (Expr.Col i) -> null_plan b i ~want_null:true
+  | Expr.Is_not_null (Expr.Col i) -> null_plan b i ~want_null:false
+  | Expr.Is_null (Expr.Const v) -> const_plan (Value.is_null v)
+  | Expr.Is_not_null (Expr.Const v) -> const_plan (not (Value.is_null v))
   | Expr.In_list (x, vs) ->
       (* IN over literals is exactly a disjunction of equalities *)
       compile b
@@ -549,17 +604,15 @@ let rec compile b (p : Expr.pred) : producer option =
            (Expr.Lit3 T3.False) vs)
   | Expr.Between (x, lo, hi) ->
       compile b (Expr.And (Expr.Cmp (T3.Ge, x, lo), Expr.Cmp (T3.Le, x, hi)))
-  | _ -> None
+  | _ -> invalid_arg "Batch.compile: predicate outside the vectorizable subset"
 
 let filter_plan pred rel =
   if not (enabled ()) then None
   else if Relation.is_empty rel then None
+  else if not (vectorizable pred) then None
   else
-    let b = for_relation rel in
-    match compile b pred with
-    | None -> None
-    | Some producer ->
-        Some (fun ~lo ~hi -> Bitset.indices ~base:lo (producer ~lo ~hi))
+    let producer = compile (for_relation rel) pred in
+    Some (fun ~lo ~hi -> Bitset.indices ~base:lo (producer ~lo ~hi))
 
 (* ------------------------------------------------------------------ *)
 (* Columnar spill pages: a page of rows packed column-wise, so spilled

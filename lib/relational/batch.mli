@@ -76,7 +76,18 @@ val column : t -> int -> col * Bitset.t
 
     Keyed on the physical identity of the relation's rows array —
     sound because relations are immutable (DML builds fresh arrays and
-    [Table.alias] shares the existing one).  Owner-domain only. *)
+    [Table.alias] shares the existing one).  At most 32 entries, least
+    recently used evicted first; a {!find} or {!prime} hit counts as a
+    use.  Owner-domain only.
+
+    Each entry also memoizes up to 16 row selections made over it
+    ({!select_memo}), keyed on the predicate compared structurally and
+    evicted with the entry.  A selection depends only on the rows and
+    the predicate, so a block whose predicate does not change between
+    statements (Query 1's [l_commitdate < l_receiptdate]) is filtered
+    once.  The scan itself is still charged every time
+    ([Frame.block_relation]); only the CPU is saved.  See docs/PERF.md
+    ("Statement-invariant scan reuse"). *)
 
 val prime : Relation.t -> unit
 (** Build (lazily) and cache a batch for a base relation; called at
@@ -86,6 +97,18 @@ val prime : Relation.t -> unit
 val find : Relation.t -> t option
 val for_relation : Relation.t -> t
 (** Cached batch if primed, otherwise a fresh transient one. *)
+
+val select_memo :
+  Expr.pred -> Relation.t -> (unit -> Row.t array) -> Row.t array
+(** [select_memo pred rel filter] is the rows of [rel] satisfying
+    [pred]: the memoized array (physically shared) when [rel]'s rows
+    are cached and [pred] was seen over them, otherwise [filter ()],
+    stored when the rows are cached.  [filter] must compute exactly
+    that selection. *)
+
+val memoized : Relation.t -> int
+(** Number of selections memoized over [rel]'s rows (0 when they are
+    not cached).  Does not count as a use. *)
 
 val drop_cache : unit -> unit
 
@@ -103,14 +126,21 @@ val filter_plan :
 (** Compile a predicate to a vectorized evaluator.  [Some plan] when
     the whole predicate falls in the vectorizable subset — [Lit3],
     [Cmp] over [Col]/[Const], [Is_null]/[Is_not_null], [In_list],
-    [Between], closed under [And]/[Or] — where evaluation is total and
-    agrees with [Expr.holds] on every row.  [plan ~lo ~hi] returns the
-    ascending indices in [\[lo, hi)] satisfying the predicate (a
-    selection vector); safe to call from worker domains once compiled.
+    [Between], closed under [And]/[Or] ({!vectorizable}) — where
+    evaluation is total and agrees with [Expr.holds] on every row.
+    [plan ~lo ~hi] returns the ascending indices in [\[lo, hi)]
+    satisfying the predicate (a selection vector); safe to call from
+    worker domains once compiled.
     [None] when disabled, on an empty relation, or when any part of
     the predicate is outside the subset ([Not] does not decompose
     under WHERE semantics; [Like] and arithmetic can raise) — callers
     then fall back to [Expr.holds] rows. *)
+
+val vectorizable : Expr.pred -> bool
+(** Is the predicate in the subset {!filter_plan} compiles?  A
+    syntactic check: comparisons, null tests, [IN] and [BETWEEN] over
+    columns and constants only.  No predicate in the subset can raise
+    under [Expr.holds]. *)
 
 (** {1 Columnar spill pages}
 

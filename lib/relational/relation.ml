@@ -11,6 +11,15 @@ let make schema rows =
     rows;
   { schema; rows }
 
+(* O(1) constructors for rows that are already known to fit: no
+   per-row arity loop, which on a shared base-table array would redo
+   the check [make] (and [Table.create]'s typecheck) already did. *)
+let with_schema schema t =
+  if Schema.arity schema <> Schema.arity t.schema then
+    invalid_arg "Relation.with_schema: arity mismatch";
+  { schema; rows = t.rows }
+
+let restrict t rows = { t with rows }
 let of_rows schema rows = make schema (Array.of_list rows)
 let schema t = t.schema
 let rows t = t.rows

@@ -9,6 +9,17 @@ type t
 val make : Schema.t -> Row.t array -> t
 (** @raise Invalid_argument if any row's arity differs from the schema's. *)
 
+val with_schema : Schema.t -> t -> t
+(** Same rows under another schema of equal arity, in O(1) (the rows
+    array is shared, not re-checked).
+    @raise Invalid_argument if the arities differ. *)
+
+val restrict : t -> Row.t array -> t
+(** [restrict t rows] is [t]'s schema over [rows], in O(1).  The caller
+    guarantees every element of [rows] is a row of [t] (a selection,
+    prefix or permutation of them), so the arity check [make] would do
+    holds already and is skipped. *)
+
 val of_rows : Schema.t -> Row.t list -> t
 val schema : t -> Schema.t
 val rows : t -> Row.t array

@@ -76,9 +76,16 @@ let tokenize_loc src =
             incr pos
           done
         end;
-        emit (FLOAT (float_of_string (String.sub src start (!pos - start))))
+        let text = String.sub src start (!pos - start) in
+        match float_of_string_opt text with
+        | Some f -> emit (FLOAT f)
+        | None -> fail (Printf.sprintf "malformed number %s" text)
       end
-      else emit (INT (int_of_string (String.sub src start (!pos - start))))
+      else
+        let text = String.sub src start (!pos - start) in
+        match int_of_string_opt text with
+        | Some i -> emit (INT i)
+        | None -> fail (Printf.sprintf "integer out of range %s" text)
     end
     else if c = '\'' then begin
       incr pos;

@@ -32,6 +32,7 @@ val with_rows : t -> Row.t array -> t
 
 val alias : t -> string -> t
 (** [alias t a] is table [t] seen under alias [a]: schema requalified,
-    same rows.  Implements [FROM t AS a]. *)
+    same rows (the array is shared, not re-validated: O(1)).
+    Implements [FROM t AS a]. *)
 
 val pp : Format.formatter -> t -> unit

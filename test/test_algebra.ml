@@ -148,6 +148,73 @@ let prop_semi_anti_partition =
       let a = J.join J.Anti ~on:eq_on_a lrel rrel in
       Relation.equal_bag lrel (Relation.append s a))
 
+(* The smaller-side build must be invisible: building on the left and
+   streaming the right rows through gives the right-side build's exact
+   output (same rows, same order), the same probe count and the same
+   number of guard checkpoints — for every kind, with NULL and
+   duplicate keys, Int/Float keys that compare equal, and residuals in
+   and out of the vectorizable subset. *)
+let arb_keyed =
+  QCheck.(
+    list_of_size (Gen.int_range 0 12)
+      (pair
+         (oneof
+            [
+              always Value.Null;
+              map (fun i -> Value.Int i) (int_bound 4);
+              map (fun i -> Value.Float (float_of_int i)) (int_bound 4);
+            ])
+         (oneof [ always Value.Null; map (fun i -> Value.Int i) (int_bound 5) ])))
+
+let build_residuals =
+  let c i = Expr.Col i and k v = Expr.Const (vi v) in
+  [
+    eq_on_a;
+    Expr.And (eq_on_a, Expr.Cmp (T.Le, c 1, c 3));
+    Expr.And (eq_on_a, Expr.Cmp (T.Eq, c 1, c 3));
+    Expr.And (eq_on_a, Expr.Or (Expr.Is_null (c 1), Expr.Cmp (T.Gt, c 3, k 2)));
+    Expr.And (eq_on_a, Expr.Not (Expr.Cmp (T.Lt, c 1, c 3)));
+  ]
+
+let counted f =
+  let ticks = ref 0 in
+  let probes = !J.stats_probes in
+  Guard.set_yield_hook (Some (fun () -> incr ticks));
+  let out = Fun.protect ~finally:(fun () -> Guard.set_yield_hook None) f in
+  (Relation.rows out, !J.stats_probes - probes, !ticks)
+
+let prop_left_build_identical =
+  QCheck.Test.make ~count:500
+    ~name:"left build = right build (rows, order, probes, ticks)"
+    (QCheck.pair arb_keyed arb_keyed)
+    (fun (l, r) ->
+      let lrel = rel "l" l and rrel = rel "r" r in
+      let same kind on =
+        let ((rows, _, _) as right) =
+          counted (fun () -> J.hash_join_serial ~build:`Right kind ~on lrel rrel)
+        in
+        counted (fun () -> J.hash_join_serial ~build:`Left kind ~on lrel rrel)
+        = right
+        (* [join] may take the parallel path, whose checkpoints are
+           merged at the barrier: compare its rows only *)
+        && Relation.rows (J.join kind ~on lrel rrel) = rows
+      in
+      let all () =
+        List.for_all
+          (fun on ->
+            List.for_all
+              (fun kind -> same kind on)
+              [ J.Inner; J.Left_outer; J.Semi; J.Anti ])
+          build_residuals
+      in
+      (* unprimed, then primed: the key-hash vectors of cached batches
+         must give the answers inline row hashing gives *)
+      all ()
+      &&
+      (Batch.prime lrel;
+       Batch.prime rrel;
+       all ()))
+
 let test_setops () =
   let a = rel "x" [ (vi 1, vi 1); (vi 1, vi 1); (vi 2, vi 2) ] in
   let b = rel "x" [ (vi 1, vi 1); (vi 3, vi 3) ] in
@@ -300,6 +367,7 @@ let () =
       ( "properties",
         [
           qtest prop_hash_eq_nested_loop;
+          qtest prop_left_build_identical;
           qtest prop_outer_join_left_preserving;
           qtest prop_semi_anti_partition;
         ] );

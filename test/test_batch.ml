@@ -186,6 +186,28 @@ let prop_filter_plan =
           in
           whole = expect && split = expect)
 
+(* The selection memo: over a cached relation, a second [select] with
+   the same predicate returns the first one's array itself, and both
+   hold exactly the rows [Expr.holds] keeps, physically the input's
+   own. *)
+let prop_select_memo =
+  QCheck.Test.make ~count:500
+    ~name:"memoized selection is shared and equals Expr.holds"
+    arb_rel_pred (fun (rel, pred) ->
+      Batch.drop_cache ();
+      Batch.prime rel;
+      let first = Algebra.Basic.select pred rel in
+      let again = Algebra.Basic.select pred rel in
+      let expect = Relation.rows (Relation.filter (Expr.holds pred) rel) in
+      let same_rows a =
+        Array.length a = Array.length expect
+        && Array.for_all2 ( == ) a expect
+      in
+      same_rows (Relation.rows first)
+      && same_rows (Relation.rows again)
+      && (Relation.is_empty rel
+         || Relation.rows first == Relation.rows again))
+
 (* ---------- unit cases ---------- *)
 
 let mk schema rows = Relation.make (Schema.of_columns schema) rows
@@ -239,6 +261,25 @@ let test_cache_identity () =
   Batch.drop_cache ();
   Alcotest.(check bool) "dropped" true (Batch.find rel = None)
 
+let test_cache_lru () =
+  Batch.drop_cache ();
+  let one i = mk [ Schema.column "a" Ttype.Int ] [| [| vi i |] |] in
+  let hot = one 0 in
+  Batch.prime hot;
+  for i = 1 to 32 do
+    Batch.prime (one i);
+    ignore (Batch.find hot)
+  done;
+  Alcotest.(check bool) "a hot entry survives 32 cold primes" true
+    (Batch.find hot <> None);
+  let cold = one 99 in
+  Batch.prime cold;
+  for i = 100 to 131 do
+    Batch.prime (one i)
+  done;
+  Alcotest.(check bool) "an unused entry is evicted" true
+    (Batch.find cold = None)
+
 let test_disabled_falls_back () =
   let rel =
     mk [ Schema.column "a" Ttype.Int ] [| [| vi 1 |]; [| vi 2 |] |]
@@ -273,6 +314,76 @@ let test_unvectorizable () =
         Cmp (Three_valued.Eq, Add (Col 0, Const (vi 1)), Const (vi 2));
       ]
 
+(* ---------- the memo across statements ---------- *)
+
+module Q = Tpch.Queries
+
+let tpch_catalog () =
+  let cat =
+    Tpch.Gen.generate { Tpch.Gen.default with Tpch.Gen.scale = 0.002 }
+  in
+  Tpch.Gen.add_benchmark_indexes cat;
+  cat
+
+let q1 ~fraction =
+  let lo, hi = Q.q1_window ~outer_fraction:fraction in
+  Q.q1 ~date_lo:lo ~date_hi:hi
+
+let base cat name = Table.relation (Catalog.table cat name)
+
+let csv strategy cat sql =
+  match Nra.query ~strategy cat sql with
+  | Ok rel -> Relation.to_csv rel
+  | Error m -> Alcotest.fail m
+
+(* Query 1's inner block ([l_commitdate < l_receiptdate and l_shipdate
+   < l_commitdate]) does not depend on the date window: two windows
+   add a second orders selection but share the one lineitem selection. *)
+let test_memo_across_windows () =
+  Batch.drop_cache ();
+  let cat = tpch_catalog () in
+  let a = q1 ~fraction:0.01 and b = q1 ~fraction:0.05 in
+  Alcotest.(check string) "window a matches classical"
+    (csv Nra.Classical cat a) (csv Nra.Nra_optimized cat a);
+  let lineitem = Batch.memoized (base cat "lineitem") in
+  let orders = Batch.memoized (base cat "orders") in
+  Alcotest.(check bool) "lineitem selection memoized" true (lineitem > 0);
+  Alcotest.(check string) "window b matches classical"
+    (csv Nra.Classical cat b) (csv Nra.Nra_optimized cat b);
+  Alcotest.(check int) "window b reuses the lineitem selection" lineitem
+    (Batch.memoized (base cat "lineitem"));
+  Alcotest.(check bool) "window b adds an orders selection" true
+    (Batch.memoized (base cat "orders") > orders)
+
+(* DML builds a fresh rows array: the next statement misses (a new
+   cache entry, filtered from scratch) and still agrees with the
+   classical strategy. *)
+let test_memo_after_dml () =
+  Batch.drop_cache ();
+  let cat = tpch_catalog () in
+  let sql = q1 ~fraction:0.05 in
+  ignore (csv Nra.Nra_optimized cat sql);
+  let before = base cat "lineitem" in
+  Alcotest.(check bool) "memoized before the DML" true
+    (Batch.memoized before > 0);
+  (match
+     Nra.exec cat "delete from lineitem where l_commitdate < l_receiptdate \
+                   and l_linenumber = 1"
+   with
+  | Ok (Nra.Count n) -> Alcotest.(check bool) "rows deleted" true (n > 0)
+  | Ok _ -> Alcotest.fail "expected a count"
+  | Error m -> Alcotest.fail m);
+  let after = base cat "lineitem" in
+  Alcotest.(check bool) "DML made a fresh array" true
+    (Relation.rows after != Relation.rows before);
+  Alcotest.(check int) "nothing memoized for the new rows" 0
+    (Batch.memoized after);
+  let got = csv Nra.Nra_optimized cat sql in
+  Alcotest.(check bool) "the next statement misses and stores" true
+    (Batch.memoized after > 0);
+  Alcotest.(check string) "and matches classical" (csv Nra.Classical cat sql)
+    got
+
 let () =
   Alcotest.run "batch"
     [
@@ -284,6 +395,7 @@ let () =
           Alcotest.test_case "all-null column" `Quick test_all_null_column;
           Alcotest.test_case "ragged pack" `Quick test_pack_ragged;
           Alcotest.test_case "scan cache identity" `Quick test_cache_identity;
+          Alcotest.test_case "scan cache is LRU" `Quick test_cache_lru;
           Alcotest.test_case "toggle fallback" `Quick
             test_disabled_falls_back;
           Alcotest.test_case "unvectorizable forms" `Quick
@@ -295,5 +407,13 @@ let () =
           qtest prop_pack_roundtrip;
           qtest prop_hash_on;
           qtest prop_filter_plan;
+          qtest prop_select_memo;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "Query 1 windows share the inner selection"
+            `Quick test_memo_across_windows;
+          Alcotest.test_case "DML misses, result matches classical" `Quick
+            test_memo_after_dml;
         ] );
     ]

@@ -167,6 +167,79 @@ let test_columnar_matrix_tpch () =
   let cat = tpch_catalog () in
   check_columnar_matrix (fun () -> cat) tpch_corpus
 
+(* The selection memo saves CPU only: a paper-olap Query 1 and Query
+   2b text run memo-cold (scan cache dropped) and then memo-warm (its
+   base-table selections reused) must charge the same simulated I/O,
+   draw the same faults and serialize to the same bytes, at domains
+   {0,2} x frames {8,inf}, faults on.  The buffer pool is reset before
+   each run, so a warm run sees cold storage like the cold run did. *)
+
+module Q = Tpch.Queries
+
+let paper_olap_texts =
+  let lo, hi = Q.q1_window ~outer_fraction:(4_000. /. 1_500_000.) in
+  let size_lo, size_hi = Q.size_window ~outer_fraction:0.12 in
+  [
+    Q.q1 ~date_lo:lo ~date_hi:hi;
+    Q.q2 ~quant:Q.All ~size_lo ~size_hi
+      ~availqty_max:(Q.availqty_bound ~fraction:0.02)
+      ~quantity:25;
+  ]
+
+let test_memo_cold_warm () =
+  let cat = tpch_catalog () in
+  let memoized () =
+    List.map
+      (fun t -> Batch.memoized (Table.relation (Catalog.table cat t)))
+      [ "orders"; "lineitem"; "part"; "partsupp" ]
+  in
+  let measure strategy sql =
+    Nra.Bufpool.reset ();
+    Iosim.reset ();
+    let csv = run_csv ~faults:true cat sql strategy in
+    (csv, Iosim.counters (), (Fault.stats ()).Fault.injected)
+  in
+  let cold_warm strategy sql frames d =
+    let what =
+      Printf.sprintf "%s frames=%s domains=%d on: %s"
+        (Nra.strategy_to_string strategy)
+        (match frames with None -> "inf" | Some n -> string_of_int n)
+        d sql
+    in
+    with_frames frames (fun () ->
+        with_domains d (fun () ->
+            Batch.drop_cache ();
+            let cold = measure strategy sql in
+            let after_cold = memoized () in
+            let warm = measure strategy sql in
+            if List.for_all (( = ) 0) after_cold then
+              Alcotest.fail ("nothing memoized, " ^ what);
+            if memoized () <> after_cold then
+              Alcotest.fail ("warm run missed the memo, " ^ what);
+            if warm <> cold then
+              Alcotest.fail ("warm run diverges from cold, " ^ what);
+            cold))
+  in
+  with_columnar true (fun () ->
+      List.iter
+        (fun sql ->
+          List.iter
+            (fun strategy ->
+              let at frames =
+                List.map (cold_warm strategy sql frames) [ 0; 2 ]
+              in
+              match (at None, at (Some 8)) with
+              | [ ((csv, _, _) as a0); a2 ], [ ((csv8, _, _) as b0); b2 ] ->
+                  (* same I/O and fault draws at every pool size under
+                     one frame budget; the same result under both *)
+                  if a2 <> a0 || b2 <> b0 then
+                    Alcotest.fail ("pool sizes disagree on: " ^ sql);
+                  if csv8 <> csv then
+                    Alcotest.fail ("frame budgets disagree on: " ^ sql)
+              | _ -> assert false)
+            [ Nra.Nra_optimized; Nra.Nra_full ])
+        paper_olap_texts)
+
 (* ---------- the pool primitive itself ---------- *)
 
 let test_chunk_order () =
@@ -292,6 +365,9 @@ let () =
           Alcotest.test_case
             "tpch corpus, columnar x domains x frames (spill), faults on"
             `Quick test_columnar_matrix_tpch;
+          Alcotest.test_case
+            "paper-olap Query 1/2b, memo cold = warm, same I/O, faults on"
+            `Quick test_memo_cold_warm;
         ] );
       ( "pool",
         [

@@ -23,9 +23,16 @@ let test_lexer_errors () =
   (match Lexer.tokenize "'unterminated" with
   | exception Lexer.Lex_error _ -> ()
   | _ -> Alcotest.fail "accepted unterminated string");
-  match Lexer.tokenize "a ; b" with
+  (match Lexer.tokenize "a ; b" with
   | exception Lexer.Lex_error _ -> ()
-  | _ -> Alcotest.fail "accepted unknown character"
+  | _ -> Alcotest.fail "accepted unknown character");
+  (* malformed or out-of-range numbers are lex errors, not Failure *)
+  List.iter
+    (fun src ->
+      match Lexer.tokenize src with
+      | exception Lexer.Lex_error _ -> ()
+      | _ -> Alcotest.fail ("accepted " ^ src))
+    [ "9.9ea"; "1.5e+"; "99999999999999999999999" ]
 
 let roundtrip sql =
   let q = parse sql in
