@@ -62,7 +62,16 @@ let select pred rel =
                (Pool.parallel_chunks ~n (fun _ledger ~lo ~hi ->
                     filter_morsel pred rows ~lo ~hi)))
   in
-  Relation.restrict rel (Batch.select_memo pred rel filter)
+  let filtered = ref false in
+  let picked =
+    Batch.select_memo pred rel (fun () ->
+        filtered := true;
+        filter ())
+  in
+  (* a parallel filter ends in its region's checkpoint; a memo hit
+     passes it too, so the checkpoint count never depends on the cache *)
+  if (not !filtered) && Pool.use_parallel n then Nra_guard.Guard.tick ();
+  Relation.restrict rel picked
 
 let project_cols idxs rel = Relation.project rel idxs
 

@@ -118,14 +118,20 @@ let probe_one tbl ~h ~lpos ~rpos ~residual_pred lrow =
   |> List.rev (* restore build order *)
   |> List.filter (pair_matches ~lpos ~rpos ~residual_pred lrow)
 
-let join_serial kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs
-    left_rows right_rows =
+(* The serial build table: the right rows with non-NULL keys, under
+   their key hash, in build order.  A function of the rows and [rpos]
+   alone, so over a shared array it is memoized ([Batch.build_memo]). *)
+let build_table ~rpos ~rvecs right_rows =
   let tbl = Hashtbl.create (max 16 (Array.length right_rows)) in
   Array.iteri
     (fun i rrow ->
       if not (vec_null rvecs rpos rrow i) then
         Hashtbl.add tbl (vec_hash rvecs rpos rrow i) rrow)
     right_rows;
+  tbl
+
+let probe_serial kind tbl ~lpos ~rpos ~residual_pred ~right_arity ~lvecs
+    left_rows =
   let acc = ref [] in
   Array.iteri
     (fun i lrow ->
@@ -141,6 +147,12 @@ let join_serial kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs
       acc := emit kind ~right_arity lrow matches !acc)
     left_rows;
   List.rev !acc
+
+let join_serial kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs
+    left_rows right_rows =
+  probe_serial kind
+    (build_table ~rpos ~rvecs right_rows)
+    ~lpos ~rpos ~residual_pred ~right_arity ~lvecs left_rows
 
 (* The same join built on the left input, for when it is the smaller
    side: hash the left rows' indices, stream the right rows through
@@ -335,13 +347,15 @@ let join_grace kind ~lpos ~rpos ~residual_pred ~right_arity ~frames ~lvecs
 
 (* The equi-join set-up shared by [join] and [hash_join_serial]: key
    positions, residual and key-hash vectors, handed to [k] with the
-   row arrays. *)
+   row arrays.  The vectors are lazy: a probe of a memoized build
+   table needs none for the right side. *)
 let with_equi kind left right equi residual k =
   let lpos = Array.of_list (List.map fst equi) in
   let rpos = Array.of_list (List.map snd equi) in
   let right_arity = Schema.arity (Relation.schema right) in
   let residual_pred = Expr.conj residual in
-  let lvecs = key_vectors left lpos and rvecs = key_vectors right rpos in
+  let lvecs = lazy (key_vectors left lpos)
+  and rvecs = lazy (key_vectors right rpos) in
   let rows =
     k ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs
       (Relation.rows left) (Relation.rows right)
@@ -354,9 +368,12 @@ let hash_join_serial ~build kind ~on left right =
   | [], _ -> invalid_arg "Join.hash_join_serial: no equi-conjunct"
   | equi, residual ->
       with_equi kind left right equi residual
-        (match build with
-        | `Left -> join_serial_left_build kind
-        | `Right -> join_serial kind)
+      @@ fun ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs ->
+      (match build with
+      | `Left -> join_serial_left_build kind
+      | `Right -> join_serial kind)
+        ~lpos ~rpos ~residual_pred ~right_arity ~lvecs:(Lazy.force lvecs)
+        ~rvecs:(Lazy.force rvecs)
 
 let join kind ~on left right =
   let left_arity = Schema.arity (Relation.schema left) in
@@ -367,20 +384,33 @@ let join kind ~on left right =
     @@ fun ~lpos ~rpos ~residual_pred ~right_arity ~lvecs ~rvecs left_rows
            right_rows ->
     let nl = Array.length left_rows and nr = Array.length right_rows in
+    let lvecs = Lazy.force lvecs in
     match Nra_storage.Bufpool.frames () with
     | Some frames when Nra_storage.Iosim.pages nr > frames ->
         (* the grace/hybrid path runs its spilled partitions under the
            Domain pool itself (iter_raw workers + owner-side ledger
            replay), so out-of-core and parallel compose *)
         join_grace kind ~lpos ~rpos ~residual_pred ~right_arity ~frames
-          ~lvecs ~rvecs left_rows right_rows
-    | _ ->
-        if Pool.use_parallel (max nl nr) then
-          join_parallel kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs
-            ~rvecs left_rows right_rows
-        else if nl < nr && Batch.vectorizable residual_pred then
-          join_serial_left_build kind ~lpos ~rpos ~residual_pred
-            ~right_arity ~lvecs ~rvecs left_rows right_rows
-        else
-          join_serial kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs
-            ~rvecs left_rows right_rows
+          ~lvecs ~rvecs:(Lazy.force rvecs) left_rows right_rows
+    | _ when Pool.use_parallel (max nl nr) ->
+        join_parallel kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs
+          ~rvecs:(Lazy.force rvecs) left_rows right_rows
+    | _ -> (
+        (* a shared right side (a cached base relation or one of its
+           memoized selections) keeps its build table across
+           statements: probing it is the right-build join exactly *)
+        match
+          Batch.build_memo right_rows rpos (fun () ->
+              build_table ~rpos ~rvecs:(Lazy.force rvecs) right_rows)
+        with
+        | Some tbl ->
+            probe_serial kind tbl ~lpos ~rpos ~residual_pred ~right_arity
+              ~lvecs left_rows
+        | None ->
+            let rvecs = Lazy.force rvecs in
+            if nl < nr && Batch.vectorizable residual_pred then
+              join_serial_left_build kind ~lpos ~rpos ~residual_pred
+                ~right_arity ~lvecs ~rvecs left_rows right_rows
+            else
+              join_serial kind ~lpos ~rpos ~residual_pred ~right_arity ~lvecs
+                ~rvecs left_rows right_rows)

@@ -214,12 +214,31 @@ let rowwise mode verdict elems_of rel =
     (Relation.rows rel);
   Relation.of_rows (Relation.schema rel) (List.rev !out)
 
+(* Element rows by key, NULL keys dropped, each list in build order:
+   [elems] evaluated over every row of [rows] whose [keys] are all
+   non-NULL.  No checkpoint and no charge, so a memoized grouping
+   leaves the statement's guard and I/O accounts unchanged. *)
+let group ~keys ~elems rows : Batch.grouping =
+  let tbl = Row.Tbl.create (max 16 (Array.length rows)) in
+  Array.iter
+    (fun row ->
+      let key = Array.map (Expr.eval_scalar row) keys in
+      if not (Array.exists Value.is_null key) then begin
+        let elem = Array.map (Expr.eval_scalar row) elems in
+        match Row.Tbl.find_opt tbl key with
+        | Some cell -> cell := elem :: !cell
+        | None -> Row.Tbl.add tbl key (ref [ elem ])
+      end)
+    rows;
+  Row.Tbl.iter (fun _ cell -> cell := List.rev !cell) tbl;
+  tbl
+
 (* The five linking-site implementations, as a closed choice: the
    options-driven decision chain picks one (exactly as it always has),
    and a rewrite directive can pick one directly when its structural
-   preconditions hold at this site. *)
+   preconditions hold at this site.  The shared value set is the
+   push-down with no correlation key. *)
 type site_pick =
-  | P_shared
   | P_push of (R.rcol * R.rexpr) list
   | P_semi
   | P_bottom of nest_directive option
@@ -257,7 +276,7 @@ and apply_child cat t opts dirs st ~discard_ok ~parent (rel, sorted_prefix)
     && b.A.correlated <> []
   in
   let legacy_pick () =
-    if contained && b.A.correlated = [] then P_shared
+    if contained && b.A.correlated = [] then P_push []
     else
       match (opts.push_down_nest && contained, equi_correlation b) with
       | true, Some pairs -> P_push pairs
@@ -268,7 +287,7 @@ and apply_child cat t opts dirs st ~discard_ok ~parent (rel, sorted_prefix)
   in
   let pick =
     match List.assoc_opt b.A.id dirs with
-    | Some D_shared_set when contained && b.A.correlated = [] -> P_shared
+    | Some D_shared_set when contained && b.A.correlated = [] -> P_push []
     | Some D_push_down when contained -> (
         match equi_correlation b with
         | Some pairs -> P_push pairs
@@ -279,32 +298,20 @@ and apply_child cat t opts dirs st ~discard_ok ~parent (rel, sorted_prefix)
     | _ -> legacy_pick ()
   in
   match pick with
-  | P_shared ->
-      (* virtual Cartesian product: the subquery is evaluated once and
-         its value set shared by every outer tuple *)
-      let child_red = reduce_standalone cat t opts dirs st b in
-      let keep, verdict =
-        Linkeval.verdict_and_keep ~key_schema
-          ~wide_schema:(Relation.schema child_red) ~with_marker:false c
-      in
-      let elems =
-        Array.to_list (Relation.rows child_red)
-        |> List.map (fun row ->
-               Array.of_list
-                 (List.map (fun (s, _) -> Expr.eval_scalar row s) keep))
-      in
-      let rel' = rowwise mode verdict (fun _ -> elems) rel in
-      (rel', min sorted_prefix sp_after_select)
   | P_push pairs ->
       (* §4.2.4: group the reduced child by its correlation key once;
-         probe per outer tuple *)
+         probe per outer tuple.  With no key (an uncorrelated child)
+         the one group is the value set every outer tuple shares — the
+         virtual Cartesian product.  Over a shared rows array (a base
+         table or its memoized selection) the grouping is built once
+         across statements. *)
       let child_red = reduce_standalone cat t opts dirs st b in
       let cschema = Relation.schema child_red in
       let keep, verdict =
         Linkeval.verdict_and_keep ~key_schema ~wide_schema:cschema
           ~with_marker:false c
       in
-      let child_keys =
+      let keys =
         Array.of_list
           (List.map (fun (col, _) -> Frame.to_scalar cschema (R.RCol col))
              pairs)
@@ -313,28 +320,17 @@ and apply_child cat t opts dirs st ~discard_ok ~parent (rel, sorted_prefix)
         Array.of_list
           (List.map (fun (_, e) -> Frame.to_scalar key_schema e) pairs)
       in
-      let tbl : Row.t list ref Row.Tbl.t =
-        Row.Tbl.create (max 16 (Relation.cardinality child_red))
+      let elems = Array.of_list (List.map fst keep) in
+      let rows = Relation.rows child_red in
+      let groups =
+        Batch.group_memo rows ~keys ~elems (fun () -> group ~keys ~elems rows)
       in
-      Array.iter
-        (fun row ->
-          let key = Array.map (Expr.eval_scalar row) child_keys in
-          if not (Array.exists Value.is_null key) then begin
-            let elem =
-              Array.of_list
-                (List.map (fun (s, _) -> Expr.eval_scalar row s) keep)
-            in
-            match Row.Tbl.find_opt tbl key with
-            | Some cell -> cell := elem :: !cell
-            | None -> Row.Tbl.add tbl key (ref [ elem ])
-          end)
-        (Relation.rows child_red);
       let elems_of outer_row =
         let key = Array.map (Expr.eval_scalar outer_row) outer_keys in
         if Array.exists Value.is_null key then []
         else
-          match Row.Tbl.find_opt tbl key with
-          | Some cell -> List.rev !cell
+          match Row.Tbl.find_opt groups key with
+          | Some cell -> !cell
           | None -> []
       in
       let rel' = rowwise mode verdict elems_of rel in

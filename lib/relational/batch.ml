@@ -242,8 +242,8 @@ let to_relation t =
 (* Scan-time cache, keyed on the rows array's physical identity.
    Relations are immutable (DML builds fresh arrays; [Table.alias]
    shares them), so identity is a sound key.  Least recently used
-   first out: a [find] or [prime] hit moves the entry to the front.
-   Owner-domain only.
+   first out: a [find], [prime] or memo hit moves the entry to the
+   front.  Owner-domain only.
 
    Each entry also memoizes the row selections [Basic.select] made over
    it, keyed on the predicate compared structurally.  A selection is a
@@ -251,17 +251,36 @@ let to_relation t =
    parameters left after planning), so the same key over the same
    array is the same answer in every statement; it is evicted with its
    entry, and at most [selections_per_entry] are kept, most recently
-   used first. *)
+   used first.
+
+   Every array the cache holds — the entry's rows and each memoized
+   selection — carries the hash tables built over it in the same way:
+   groupings keyed on their key and element expressions, join build
+   tables keyed on their key positions, at most [derived_per_rows] of
+   each, evicted with the array.  A table is a function of the rows and
+   its key alone, so it is built once across statements. *)
+
+type grouping = Row.t list ref Row.Tbl.t
+type build = (int, Row.t) Hashtbl.t
+
+type shared = {
+  arr : Row.t array;
+  mutable groupings : ((Expr.scalar array * Expr.scalar array) * grouping) list;
+  mutable builds : (int array * build) list;
+}
 
 type entry = {
-  rows : Row.t array;
+  base : shared;
   batch : t;
-  mutable selections : (Expr.pred * Row.t array) list;
+  mutable selections : (Expr.pred * shared) list;
 }
 
 let cache : entry list ref = ref []
 let cache_limit = 32
 let selections_per_entry = 16
+let derived_per_rows = 8
+
+let shared arr = { arr; groupings = []; builds = [] }
 
 (* Move the first element satisfying [hit] to the front of the list. *)
 let to_front hit l =
@@ -269,13 +288,25 @@ let to_front hit l =
   | [], _ -> (None, l)
   | x :: _, rest -> (Some x, x :: rest)
 
-let lookup rows =
+(* The value memoized under [key] in a most-recently-used-first list of
+   at most [limit] bindings, computed and stored on a miss; returns the
+   value and the updated list. *)
+let memo_in ~limit l key compute =
+  match to_front (fun (k, _) -> k = key) l with
+  | Some (_, v), l -> (v, l)
+  | None, l ->
+      let v = compute () in
+      (v, (key, v) :: List.filteri (fun i _ -> i < limit - 1) l)
+
+let use hit =
   match !cache with
-  | e :: _ when e.rows == rows -> Some e
+  | e :: _ when hit e -> Some e
   | l ->
-      let hit, l = to_front (fun e -> e.rows == rows) l in
+      let found, l = to_front hit l in
       cache := l;
-      hit
+      found
+
+let lookup rows = use (fun e -> e.base.arr == rows)
 
 let find rel = Option.map (fun e -> e.batch) (lookup (Relation.rows rel))
 
@@ -285,11 +316,19 @@ let prime rel =
     | Some _ -> ()
     | None ->
         let e =
-          { rows = Relation.rows rel; batch = of_relation rel; selections = [] }
+          {
+            base = shared (Relation.rows rel);
+            batch = of_relation rel;
+            selections = [];
+          }
         in
         cache := e :: List.filteri (fun i _ -> i < cache_limit - 1) !cache
 
 let drop_cache () = cache := []
+
+let forget rel =
+  let rows = Relation.rows rel in
+  cache := List.filter (fun e -> e.base.arr != rows) !cache
 
 let set_enabled b =
   enabled_flag := b;
@@ -301,23 +340,60 @@ let for_relation rel =
 let select_memo pred rel compute =
   match lookup (Relation.rows rel) with
   | None -> compute ()
-  | Some e -> (
-      match to_front (fun (p, _) -> p = pred) e.selections with
-      | Some (_, picked), l ->
-          e.selections <- l;
-          picked
-      | None, l ->
-          let picked = compute () in
-          e.selections <-
-            (pred, picked)
-            :: List.filteri (fun i _ -> i < selections_per_entry - 1) l;
-          picked)
+  | Some e ->
+      let s, l =
+        memo_in ~limit:selections_per_entry e.selections pred (fun () ->
+            shared (compute ()))
+      in
+      e.selections <- l;
+      s.arr
+
+(* The cached array physically equal to [rows], with its entry moved
+   to the front.  Empty arrays are never shared: they are all one
+   value, and nothing over them is worth keeping. *)
+let shared_of rows =
+  if Array.length rows = 0 then None
+  else
+    let mine e =
+      if e.base.arr == rows then Some e.base
+      else
+        List.find_map
+          (fun (_, s) -> if s.arr == rows then Some s else None)
+          e.selections
+    in
+    Option.bind (use (fun e -> mine e <> None)) mine
+
+let group_memo rows ~keys ~elems compute =
+  match shared_of rows with
+  | None -> compute ()
+  | Some s ->
+      let g, l =
+        memo_in ~limit:derived_per_rows s.groupings (keys, elems) compute
+      in
+      s.groupings <- l;
+      g
+
+let build_memo rows key compute =
+  Option.map
+    (fun s ->
+      let b, l = memo_in ~limit:derived_per_rows s.builds key compute in
+      s.builds <- l;
+      b)
+    (shared_of rows)
+
+let peek rel =
+  let rows = Relation.rows rel in
+  List.find_opt (fun e -> e.base.arr == rows) !cache
 
 let memoized rel =
-  let rows = Relation.rows rel in
-  match List.find_opt (fun e -> e.rows == rows) !cache with
+  match peek rel with None -> 0 | Some e -> List.length e.selections
+
+let derived rel =
+  let count s = List.length s.groupings + List.length s.builds in
+  match peek rel with
   | None -> 0
-  | Some e -> List.length e.selections
+  | Some e ->
+      List.fold_left (fun n (_, s) -> n + count s) (count e.base) e.selections
 
 (* ------------------------------------------------------------------ *)
 (* Key-hash vectors for hash join and nest.

@@ -77,17 +77,30 @@ val column : t -> int -> col * Bitset.t
     Keyed on the physical identity of the relation's rows array —
     sound because relations are immutable (DML builds fresh arrays and
     [Table.alias] shares the existing one).  At most 32 entries, least
-    recently used evicted first; a {!find} or {!prime} hit counts as a
-    use.  Owner-domain only.
+    recently used evicted first; a {!find}, {!prime} or memo hit counts
+    as a use.  Owner-domain only.
 
     Each entry also memoizes up to 16 row selections made over it
     ({!select_memo}), keyed on the predicate compared structurally and
     evicted with the entry.  A selection depends only on the rows and
     the predicate, so a block whose predicate does not change between
     statements (Query 1's [l_commitdate < l_receiptdate]) is filtered
-    once.  The scan itself is still charged every time
-    ([Frame.block_relation]); only the CPU is saved.  See docs/PERF.md
-    ("Statement-invariant scan reuse"). *)
+    once.
+
+    The entry's rows and each of its selections are the {e shared}
+    arrays.  Over each one the entry also keeps up to 8 groupings
+    ({!group_memo}) and up to 8 join build tables ({!build_memo}),
+    keyed structurally on what they were built by and evicted with the
+    array they were built over.  The §4.2.4 push-down grouping, the
+    shared value set of an uncorrelated subquery and the serial hash
+    join's right build are therefore built once across statements.
+
+    Nothing here is charged: the scan itself is still charged every
+    time ([Frame.block_relation]) and no build ticks the guard, so only
+    CPU is saved.  [Catalog] drops a table's entry when DML, a
+    re-registration or a drop replaces its rows ({!forget}), so a dead
+    table version pins nothing; a later use of the old array only
+    misses.  See docs/PERF.md ("Statement-invariant scan reuse"). *)
 
 val prime : Relation.t -> unit
 (** Build (lazily) and cache a batch for a base relation; called at
@@ -98,6 +111,10 @@ val find : Relation.t -> t option
 val for_relation : Relation.t -> t
 (** Cached batch if primed, otherwise a fresh transient one. *)
 
+val forget : Relation.t -> unit
+(** Drop the entry for [rel]'s rows, with everything memoized over
+    them.  No-op when they are not cached. *)
+
 val select_memo :
   Expr.pred -> Relation.t -> (unit -> Row.t array) -> Row.t array
 (** [select_memo pred rel filter] is the rows of [rel] satisfying
@@ -106,9 +123,34 @@ val select_memo :
     stored when the rows are cached.  [filter] must compute exactly
     that selection. *)
 
+type grouping = Row.t list ref Row.Tbl.t
+(** Element rows by key, each list in build order.  Never mutated once
+    built: a memoized grouping is read by every later statement. *)
+
+val group_memo :
+  Row.t array -> keys:Expr.scalar array -> elems:Expr.scalar array ->
+  (unit -> grouping) -> grouping
+(** [group_memo rows ~keys ~elems build] is the grouping memoized over
+    the shared array [rows] under [(keys, elems)], or [build ()],
+    stored when [rows] is shared.  [build] must depend on nothing but
+    [rows], [keys] and [elems]. *)
+
+val build_memo :
+  Row.t array -> int array -> (unit -> (int, Row.t) Hashtbl.t) ->
+  (int, Row.t) Hashtbl.t option
+(** [build_memo rows key build] is the hash-join build table over the
+    shared array [rows] on key positions [key], built by [build] on
+    the first use; [None] (and [build] not called) when [rows] is not
+    shared. *)
+
 val memoized : Relation.t -> int
 (** Number of selections memoized over [rel]'s rows (0 when they are
     not cached).  Does not count as a use. *)
+
+val derived : Relation.t -> int
+(** Number of groupings and build tables memoized over [rel]'s rows
+    and over its memoized selections (0 when they are not cached).
+    Does not count as a use. *)
 
 val drop_cache : unit -> unit
 

@@ -29,8 +29,18 @@ let positions_of table cols =
     cols
   |> Array.of_list
 
+(* A table version being replaced or dropped is dead: drop its scan
+   cache entry so the batch and the tables memoized over its rows are
+   not pinned.  A later use of the old array (a WAL undo reinstalls
+   it) only misses. *)
+let retire t name =
+  match Hashtbl.find_opt t.tbl name with
+  | Some e -> Batch.forget (Table.relation e.table)
+  | None -> ()
+
 let register t table =
   let name = Table.name table in
+  retire t name;
   t.gen <- t.gen + 1;
   let idx = { hash = []; sorted = [] } in
   let key_cols = Table.key_columns table in
@@ -79,11 +89,13 @@ let update_rows t name rows =
       (fun (cols, _) -> (cols, Sorted_index.build rel (positions_of table cols)))
       e.idx.sorted
   in
+  retire t name;
   t.gen <- t.gen + 1;
   Hashtbl.replace t.tbl name { table; idx = { hash; sorted }; gen = e.gen + 1 }
 
 let drop_table t name =
   if not (Hashtbl.mem t.tbl name) then raise Not_found;
+  retire t name;
   t.gen <- t.gen + 1;
   Hashtbl.remove t.tbl name
 

@@ -176,12 +176,21 @@ let build_residuals =
     Expr.And (eq_on_a, Expr.Not (Expr.Cmp (T.Lt, c 1, c 3)));
   ]
 
+(* The join's rows, or the exception it raised, with the probes and
+   checkpoints it made on the way. *)
 let counted f =
   let ticks = ref 0 in
   let probes = !J.stats_probes in
   Guard.set_yield_hook (Some (fun () -> incr ticks));
-  let out = Fun.protect ~finally:(fun () -> Guard.set_yield_hook None) f in
-  (Relation.rows out, !J.stats_probes - probes, !ticks)
+  let out =
+    Fun.protect
+      ~finally:(fun () -> Guard.set_yield_hook None)
+      (fun () ->
+        match f () with
+        | r -> Ok (Relation.rows r)
+        | exception e -> Error (Printexc.to_string e))
+  in
+  (out, !J.stats_probes - probes, !ticks)
 
 let prop_left_build_identical =
   QCheck.Test.make ~count:500
@@ -197,7 +206,7 @@ let prop_left_build_identical =
         = right
         (* [join] may take the parallel path, whose checkpoints are
            merged at the barrier: compare its rows only *)
-        && Relation.rows (J.join kind ~on lrel rrel) = rows
+        && Ok (Relation.rows (J.join kind ~on lrel rrel)) = rows
       in
       let all () =
         List.for_all
@@ -214,6 +223,54 @@ let prop_left_build_identical =
       (Batch.prime lrel;
        Batch.prime rrel;
        all ()))
+
+(* Over a shared right side (a cached base relation) [join] probes a
+   build table memoized in the scan cache, one per key.  It must be the
+   right-side build exactly — same rows in the same order, or the same
+   exception from the same pair, with the same probes and checkpoints —
+   on the call that builds the table and on every call that reuses it,
+   whatever kind and residual the earlier calls had.  The residuals use
+   two keys ([a], and [a, b]); the extra one raises ([LIKE] over an Int
+   column) on the first candidate pair with a non-NULL [b]. *)
+let serial_columnar f =
+  let on = Batch.enabled () and size = Pool.size ()
+  and frames = Bufpool.frames () in
+  Batch.set_enabled true;
+  Pool.set_size 0;
+  Bufpool.set_frames None;
+  Fun.protect
+    ~finally:(fun () ->
+      Batch.set_enabled on;
+      Pool.set_size size;
+      Bufpool.set_frames frames)
+    f
+
+let prop_memo_build_identical =
+  let raising = Expr.And (eq_on_a, Expr.Like (Expr.Col 1, "%")) in
+  QCheck.Test.make ~count:500
+    ~name:"memoized build = right build (rows, order, probes, ticks)"
+    (QCheck.pair arb_keyed arb_keyed)
+    (fun (l, r) ->
+      (* the memo serves the serial in-memory join with the columnar
+         core on, whatever the environment configures *)
+      serial_columnar @@ fun () ->
+      let lrel = rel "l" l and rrel = rel "r" r in
+      Batch.drop_cache ();
+      Batch.prime rrel;
+      let same kind on =
+        let right =
+          counted (fun () -> J.hash_join_serial ~build:`Right kind ~on lrel rrel)
+        in
+        counted (fun () -> J.join kind ~on lrel rrel) = right
+        && counted (fun () -> J.join kind ~on lrel rrel) = right
+      in
+      List.for_all
+        (fun on ->
+          List.for_all
+            (fun kind -> same kind on)
+            [ J.Inner; J.Left_outer; J.Semi; J.Anti ])
+        (raising :: build_residuals)
+      && Batch.derived rrel = if Relation.is_empty rrel then 0 else 2)
 
 let test_setops () =
   let a = rel "x" [ (vi 1, vi 1); (vi 1, vi 1); (vi 2, vi 2) ] in
@@ -368,6 +425,7 @@ let () =
         [
           qtest prop_hash_eq_nested_loop;
           qtest prop_left_build_identical;
+          qtest prop_memo_build_identical;
           qtest prop_outer_join_left_preserving;
           qtest prop_semi_anti_partition;
         ] );

@@ -384,6 +384,91 @@ let test_memo_after_dml () =
   Alcotest.(check string) "and matches classical" (csv Nra.Classical cat sql)
     got
 
+(* A lineitem row priced above its order's total flips that order's
+   Query 1 verdict ([o_totalprice > all ...]) and its JA verdict.
+   Inserting it, deleting it again, and a WAL undo that reinstalls an
+   older rows array must each leave every NRA strategy equal to
+   classical (no stale grouping or build table survives), and drop the
+   replaced array's cache entry. *)
+let test_memo_verdict_flip () =
+  Batch.drop_cache ();
+  let cat = tpch_catalog () in
+  let lo, hi = Q.q1_window ~outer_fraction:0.05 in
+  let texts =
+    [
+      Q.q1 ~date_lo:lo ~date_hi:hi;
+      Q.q1_ja ~link:Q.Ja_gt_all ~date_lo:lo ~date_hi:hi;
+    ]
+  in
+  let check step =
+    List.map
+      (fun sql ->
+        let expect = csv Nra.Classical cat sql in
+        List.iter
+          (fun s ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s, %s = classical" step
+                 (Nra.strategy_to_string s))
+              expect (csv s cat sql))
+          [ Nra.Nra_full; Nra.Nra_optimized; Nra.Auto ];
+        expect)
+      texts
+  in
+  let gone step rel =
+    Alcotest.(check bool) (step ^ ": replaced rows uncached") true
+      (Batch.find rel = None)
+  in
+  let exec sql =
+    match Nra.exec cat sql with Ok _ -> () | Error m -> Alcotest.fail m
+  in
+  let first sql =
+    match Nra.query ~strategy:Nra.Classical cat sql with
+    | Ok rel when not (Relation.is_empty rel) -> (Relation.rows rel).(0).(0)
+    | Ok _ -> Alcotest.fail ("no rows: " ^ sql)
+    | Error m -> Alcotest.fail m
+  in
+  let original = check "start" in
+  let start = base cat "lineitem" in
+  Alcotest.(check bool) "lineitem cached" true (Batch.find start <> None);
+  Alcotest.(check bool) "hash tables memoized over it" true
+    (Batch.derived start > 0);
+  let key = Value.to_string (first (List.hd texts)) in
+  let price =
+    match first ("select o_totalprice from orders where o_orderkey = " ^ key)
+    with
+    | Value.Float f -> f
+    | v -> Alcotest.fail ("o_totalprice " ^ Value.to_string v)
+  in
+  exec
+    (Printf.sprintf
+       "insert into lineitem values (%s, 1, 1, 99, 1, %.2f, 0.0, 0.0, 'N', \
+        'O', date '1992-01-02', date '1992-01-03', date '1992-01-04', \
+        'NONE', 'MAIL', 'flip')"
+       key (price +. 1.0));
+  gone "insert" start;
+  let flipped = check "insert" in
+  Alcotest.(check bool) "the insert flips Query 1" true
+    (List.hd flipped <> List.hd original);
+  let inserted = base cat "lineitem" in
+  exec
+    ("delete from lineitem where l_linenumber = 99 and l_orderkey = " ^ key);
+  gone "delete" inserted;
+  Alcotest.(check (list string)) "delete restores" original (check "delete");
+  (* undo: re-apply the flip under a statement, then abort it *)
+  let current = base cat "lineitem" in
+  let stmt = Wal.begin_stmt () in
+  let after = Array.copy (Relation.rows inserted) in
+  Wal.log_update stmt ~table:"lineitem" ~before:(Relation.rows current) ~after;
+  Catalog.update_rows cat "lineitem" after;
+  gone "redo" current;
+  Alcotest.(check (list string)) "re-applied" flipped (check "re-applied");
+  let applied = base cat "lineitem" in
+  Wal.abort cat stmt;
+  Alcotest.(check bool) "undo reinstalls the old array" true
+    (Relation.rows (base cat "lineitem") == Relation.rows current);
+  gone "undo" applied;
+  Alcotest.(check (list string)) "undo restores" original (check "undo")
+
 let () =
   Alcotest.run "batch"
     [
@@ -415,5 +500,7 @@ let () =
             `Quick test_memo_across_windows;
           Alcotest.test_case "DML misses, result matches classical" `Quick
             test_memo_after_dml;
+          Alcotest.test_case "verdict flip by DML and WAL undo" `Quick
+            test_memo_verdict_flip;
         ] );
     ]

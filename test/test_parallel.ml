@@ -167,37 +167,64 @@ let test_columnar_matrix_tpch () =
   let cat = tpch_catalog () in
   check_columnar_matrix (fun () -> cat) tpch_corpus
 
-(* The selection memo saves CPU only: a paper-olap Query 1 and Query
-   2b text run memo-cold (scan cache dropped) and then memo-warm (its
-   base-table selections reused) must charge the same simulated I/O,
-   draw the same faults and serialize to the same bytes, at domains
+(* The scan-cache memos save CPU only.  A paper-olap text run
+   memo-cold (scan cache dropped) and then memo-warm (its base-table
+   selections, push-down groupings, shared value sets and join build
+   tables reused) must charge the same simulated I/O, draw the same
+   faults, pass the same number of guard checkpoints and serialize to
+   the same bytes, under nra-optimized, nra-full and auto, at domains
    {0,2} x frames {8,inf}, faults on.  The buffer pool is reset before
-   each run, so a warm run sees cold storage like the cold run did. *)
+   each run, so a warm run sees cold storage like the cold run did.
+   The warm run must add nothing to the memo: everything it looked up,
+   the cold run stored. *)
 
 module Q = Tpch.Queries
 
+let q1_lo, q1_hi = Q.q1_window ~outer_fraction:(4_000. /. 1_500_000.)
+
 let paper_olap_texts =
-  let lo, hi = Q.q1_window ~outer_fraction:(4_000. /. 1_500_000.) in
   let size_lo, size_hi = Q.size_window ~outer_fraction:0.12 in
   [
-    Q.q1 ~date_lo:lo ~date_hi:hi;
+    Q.q1 ~date_lo:q1_lo ~date_hi:q1_hi;
     Q.q2 ~quant:Q.All ~size_lo ~size_hi
       ~availqty_max:(Q.availqty_bound ~fraction:0.02)
       ~quantity:25;
   ]
 
-let test_memo_cold_warm () =
+(* the JA sweep's four links, and an uncorrelated IN (one shared value
+   set for every outer tuple) *)
+let ja_and_in_texts =
+  List.map
+    (fun link -> Q.q1_ja ~link ~date_lo:q1_lo ~date_hi:q1_hi)
+    [ Q.Ja_in; Q.Ja_not_in; Q.Ja_gt_all; Q.Ja_scalar_eq ]
+  @ [
+      Printf.sprintf
+        "select o_orderkey, o_orderpriority from orders where o_orderdate \
+         >= date '%s' and o_orderdate < date '%s' and o_custkey in (select \
+         c_custkey from customer where c_acctbal < 0)"
+        q1_lo q1_hi;
+    ]
+
+let check_memo_cold_warm texts =
   let cat = tpch_catalog () in
-  let memoized () =
+  let memo_counts () =
     List.map
-      (fun t -> Batch.memoized (Table.relation (Catalog.table cat t)))
-      [ "orders"; "lineitem"; "part"; "partsupp" ]
+      (fun t ->
+        let rel = Table.relation (Catalog.table cat t) in
+        (Batch.memoized rel, Batch.derived rel))
+      [ "orders"; "lineitem"; "part"; "partsupp"; "customer" ]
   in
   let measure strategy sql =
     Nra.Bufpool.reset ();
     Iosim.reset ();
-    let csv = run_csv ~faults:true cat sql strategy in
-    (csv, Iosim.counters (), (Fault.stats ()).Fault.injected)
+    let ticks = ref 0 in
+    Guard.set_yield_hook (Some (fun () -> incr ticks));
+    let csv =
+      Fun.protect
+        ~finally:(fun () -> Guard.set_yield_hook None)
+        (fun () -> run_csv ~faults:true cat sql strategy)
+    in
+    ((csv, Iosim.counters (), (Fault.stats ()).Fault.injected), !ticks)
   in
   let cold_warm strategy sql frames d =
     let what =
@@ -210,15 +237,20 @@ let test_memo_cold_warm () =
         with_domains d (fun () ->
             Batch.drop_cache ();
             let cold = measure strategy sql in
-            let after_cold = memoized () in
+            let after_cold = memo_counts () in
             let warm = measure strategy sql in
-            if List.for_all (( = ) 0) after_cold then
-              Alcotest.fail ("nothing memoized, " ^ what);
-            if memoized () <> after_cold then
+            if List.for_all (fun (s, _) -> s = 0) after_cold then
+              Alcotest.fail ("no selection memoized, " ^ what);
+            (* serial and unspilled, every text has a shared side to
+               hash: the inner block's selection, or its base table *)
+            if d = 0 && frames = None
+               && List.for_all (fun (_, n) -> n = 0) after_cold
+            then Alcotest.fail ("no hash table memoized, " ^ what);
+            if memo_counts () <> after_cold then
               Alcotest.fail ("warm run missed the memo, " ^ what);
             if warm <> cold then
               Alcotest.fail ("warm run diverges from cold, " ^ what);
-            cold))
+            fst cold))
   in
   with_columnar true (fun () ->
       List.iter
@@ -237,8 +269,11 @@ let test_memo_cold_warm () =
                   if csv8 <> csv then
                     Alcotest.fail ("frame budgets disagree on: " ^ sql)
               | _ -> assert false)
-            [ Nra.Nra_optimized; Nra.Nra_full ])
-        paper_olap_texts)
+            [ Nra.Nra_optimized; Nra.Nra_full; Nra.Auto ])
+        texts)
+
+let test_memo_cold_warm () = check_memo_cold_warm paper_olap_texts
+let test_memo_cold_warm_ja_in () = check_memo_cold_warm ja_and_in_texts
 
 (* ---------- the pool primitive itself ---------- *)
 
@@ -368,6 +403,9 @@ let () =
           Alcotest.test_case
             "paper-olap Query 1/2b, memo cold = warm, same I/O, faults on"
             `Quick test_memo_cold_warm;
+          Alcotest.test_case
+            "paper-olap JA sweep and IN, memo cold = warm, same I/O, faults on"
+            `Quick test_memo_cold_warm_ja_in;
         ] );
       ( "pool",
         [
