@@ -144,9 +144,9 @@ type point = {
 let points : point list ref = ref []
 
 (* one rewrite-on/off comparison per (query, strategy): [fired] is
-   whether the cost gate actually installed directives for the plan the
-   strategy ran (for auto, the plan of its pick), and [pick_*] record
-   auto's choice under each configuration *)
+   whether the cost gate actually rewrote the plan the strategy ran
+   (for auto, the plan of its pick), and [pick_*] record auto's choice
+   under each configuration *)
 type rw_run = {
   rw_name : string;
   fired : bool;
@@ -986,7 +986,7 @@ let outofcore_sweep () =
 let rewrite_sweep () =
   header "Rewrite sweep"
     "--rewrite none vs all per strategy; 'fired' = the cost gate \
-     installed directives for the plan that ran";
+     rewrote the plan that ran";
   let rw_strategies =
     [
       ("nra-orig", Nra.Nra_original);

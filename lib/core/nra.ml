@@ -52,6 +52,7 @@ module Exec = struct
   module Classical = Nra_exec.Classical
   module Magic = Nra_exec.Magic
   module Linkeval = Nra_exec.Linkeval
+  module Plan = Nra_exec.Plan
   module Nra_exec = Nra_exec.Nra
 end
 
@@ -72,7 +73,6 @@ end
 
 module Opt = struct
   module Config = Nra_opt.Config
-  module Plan = Nra_opt.Plan
   module Rewrite = Nra_opt.Rewrite
 end
 
@@ -181,8 +181,8 @@ let set_columnar = Nra_relational.Batch.set_enabled
 let rewrite_epoch = Nra_opt.Config.current_epoch
 let rewrite_signature = Nra_opt.Config.signature
 
-(* which executor options an NRA-family strategy runs under — the
-   rewriter's starting plan must mirror exactly that decision chain *)
+(* which preset an NRA-family strategy lifts its plan from — the
+   rewriter starts from that same lifted plan *)
 let nra_base_options = function
   | Nra_original -> Some Nra_exec.Nra.original
   | Nra_optimized -> Some Nra_exec.Nra.optimized
@@ -950,9 +950,16 @@ let explain cat sql =
            plan
            (fun ppf t ->
              if t.Nra_planner.Analyze.depth > 0 then
+               (* the plan nra-optimized runs: rewritten when rules fire *)
+               let rw = rewrite_for cat t Nra_exec.Nra.optimized in
                Format.fprintf ppf
-                 "@,@,nested relational pipeline (optimized):@,%s"
-                 (String.trim (Nra_exec.Nra.plan_description t)))
+                 "@,@,nested relational pipeline (optimized%s):@,%s"
+                 (if rw = None then "" else ", rewritten")
+                 (String.trim
+                    (Nra_exec.Nra.plan_description
+                       ?directives:
+                         (Option.map (fun r -> r.Nra_opt.Rewrite.dirs) rw)
+                       t)))
            t)
 
 (* The rewrite part of EXPLAIN COSTS: which rules are on, and — per

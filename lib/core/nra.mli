@@ -99,6 +99,7 @@ module Exec : sig
   module Classical = Nra_exec.Classical
   module Magic = Nra_exec.Magic
   module Linkeval = Nra_exec.Linkeval
+  module Plan = Nra_exec.Plan
   module Nra_exec = Nra_exec.Nra
 end
 
@@ -119,13 +120,12 @@ end
 
 module Opt : sig
   module Config = Nra_opt.Config
-  module Plan = Nra_opt.Plan
   module Rewrite = Nra_opt.Rewrite
 end
-(** The algebraic rewrite subsystem: an explicit NRA plan IR lifted
-    from the planner's block tree, four cost-gated rules (nest fusion,
-    push-down, pipelining, semijoin conversion), and the directives the
-    executors consume — see docs/OPTIMIZER.md. *)
+(** The algebraic rewrite subsystem: four cost-gated rules (nest
+    fusion, push-down, pipelining, semijoin conversion) over the NRA
+    plan IR ({!Exec.Plan}), whose rewritten plan the executor runs —
+    see docs/OPTIMIZER.md. *)
 
 (** {1 Errors} *)
 
@@ -361,7 +361,7 @@ val rewrite_signature : unit -> string
     never serve a stale plan. *)
 
 val nra_base_options : strategy -> Nra_exec.Nra.options option
-(** The executor options an NRA-family strategy runs under ([None] for
+(** The preset an NRA-family strategy lifts its plan from ([None] for
     the non-NRA strategies and [Auto]). *)
 
 val rewrite_for :

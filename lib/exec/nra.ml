@@ -6,7 +6,7 @@ module T3 = Three_valued
 module J = Nra_algebra.Join
 module Ast = Nra_sql.Ast
 
-type options = {
+type options = Plan.options = {
   pipelined : bool;
   nest_impl : [ `Sort | `Hash ];
   bottom_up_linear : bool;
@@ -14,50 +14,9 @@ type options = {
   positive_simplify : bool;
 }
 
-let original =
-  {
-    pipelined = false;
-    nest_impl = `Sort;
-    bottom_up_linear = false;
-    push_down_nest = false;
-    positive_simplify = false;
-  }
-
-let optimized = { original with pipelined = true }
-
-let full =
-  {
-    pipelined = true;
-    nest_impl = `Sort;
-    bottom_up_linear = true;
-    push_down_nest = true;
-    positive_simplify = true;
-  }
-
-(* ---------- per-site rewrite directives ----------
-
-   The optimizer (nra.opt) speaks to this executor through per-child
-   directives keyed by block id: which of the five linking
-   implementations to run at that site, and — for the join+nest paths —
-   whether the nest is pipelined and whether its input may be assumed
-   already key-sorted (adjacent-nest fusion).  [n_assume_sorted] is a
-   hint, not a command: it is honored only when the executor's own
-   sorted-prefix tracking agrees at runtime, so a wrong hint degrades to
-   the unfused plan instead of to wrong groups.  A block with no
-   directive (or a directive whose structural preconditions do not hold
-   here) falls back to the options-driven decision chain, which is
-   byte-identical to the pre-directive executor. *)
-
-type nest_directive = { n_pipelined : bool; n_assume_sorted : bool }
-
-type link_impl =
-  | D_shared_set
-  | D_push_down
-  | D_semijoin
-  | D_bottom_up of nest_directive
-  | D_top_down of nest_directive
-
-type directives = (int * link_impl) list
+let original = Plan.original
+let optimized = Plan.optimized
+let full = Plan.full
 
 type stats = {
   mutable peak_intermediate_rows : int;
@@ -67,11 +26,6 @@ type stats = {
 }
 
 let now () = Unix.gettimeofday ()
-
-(* ---------- structural checks ---------- *)
-
-let self_contained = A.self_contained
-let equi_correlation = A.equi_correlation
 
 let block_positions schema (blk : A.block) =
   let uids = A.block_uids blk in
@@ -101,17 +55,14 @@ let apply_mode mode verdict key elems out =
    keep columns after them; [nest_select] computes υ followed by the
    linking selection, either as two materialized passes (original) or
    fused into one group scan over sorted input (optimized). *)
-let nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode ~sorted wide =
+let nest_select ~nest_impl (nf : Plan.nest) st ~key_schema ~keep ~verdict
+    ~mode ~sorted wide =
   let t0 = now () in
-  (* a directive overrides the options: a fused nest ([n_assume_sorted]
-     confirmed by the runtime [sorted] flag) takes the single-pass run
-     scan, which on key-sorted input produces exactly the groups (and
-     group order) the materialized nest would *)
-  let pipelined =
-    match flags with
-    | Some f -> f.n_pipelined || (f.n_assume_sorted && sorted)
-    | None -> opts.pipelined
-  in
+  (* a fused nest ([assume_sorted] confirmed by the runtime [sorted]
+     flag) takes the single-pass run scan, which on key-sorted input
+     produces exactly the groups (and group order) the materialized nest
+     would *)
+  let pipelined = nf.Plan.pipelined || (nf.Plan.assume_sorted && sorted) in
   let key_arity = Schema.arity key_schema in
   let prefix =
     List.init key_arity (fun i -> (Expr.Col i, Schema.col key_schema i))
@@ -130,7 +81,7 @@ let nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode ~sorted wide =
     if not pipelined then begin
       (* original: materialize the nested relation, then select *)
       let grouped =
-        match opts.nest_impl with
+        match nest_impl with
         | `Sort -> Nra_nested.Grouped.nest_sort ~by ~keep:keep_pos staging
         | `Hash -> Nra_nested.Grouped.nest_hash ~by ~keep:keep_pos staging
       in
@@ -140,7 +91,7 @@ let nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode ~sorted wide =
           Nra_guard.Guard.tick ();
           out := apply_mode mode verdict key (Array.to_list elems) !out)
         grouped.Nra_nested.Grouped.groups;
-      (Relation.of_rows key_schema (List.rev !out), opts.nest_impl = `Sort)
+      (Relation.of_rows key_schema (List.rev !out), nest_impl = `Sort)
     end
     else begin
       (* optimized: single pass over (at most once re-)sorted input; the
@@ -170,11 +121,6 @@ let nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode ~sorted wide =
   (result, emitted_sorted)
 
 (* ---------- the recursive driver ---------- *)
-
-(* Site positivity: JA children (scalar_agg present) are never positive
-   — an empty group aggregates to a value, so it must reach the linking
-   selection instead of being discarded by σ or a semijoin. *)
-let is_positive_site = A.child_positive
 
 (* Allocation-pressure injection fires where a real row-budget
    exhaustion would: as an intermediate materializes under a finite row
@@ -233,80 +179,45 @@ let group ~keys ~elems rows : Batch.grouping =
   Row.Tbl.iter (fun _ cell -> cell := List.rev !cell) tbl;
   tbl
 
-(* The five linking-site implementations, as a closed choice: the
-   options-driven decision chain picks one (exactly as it always has),
-   and a rewrite directive can pick one directly when its structural
-   preconditions hold at this site.  The shared value set is the
-   push-down with no correlation key. *)
-type site_pick =
-  | P_push of (R.rcol * R.rexpr) list
-  | P_semi
-  | P_bottom of nest_directive option
-  | P_top of nest_directive option
+(* The driver walks the plan's nodes: each [impl] and σ/σ̄ mode was
+   chosen by [Plan.lift] (and possibly rewritten, then settled by
+   [Plan.renormalize]), so nothing is decided here.  [parent] is the
+   block whose children [nodes] are: σ̄ pads its attributes. *)
+let rec process nest_impl st ~parent (rel, sorted_prefix) nodes =
+  List.fold_left (apply_node nest_impl st ~parent) (rel, sorted_prefix) nodes
 
-let rec process cat t opts dirs st ~discard_ok (rel, sorted_prefix)
-    (p : A.block) =
-  List.fold_left
-    (fun acc c ->
-      apply_child cat t opts dirs st ~discard_ok ~parent:p acc c)
-    (rel, sorted_prefix) p.A.children
-
-and reduce_standalone cat t opts dirs st (b : A.block) : Relation.t =
+and reduce_standalone nest_impl st (n : Plan.node) : Relation.t =
+  let b = n.Plan.child.A.block in
   let rel = Frame.block_relation b in
-  let rel', _ = process cat t opts dirs st ~discard_ok:true (rel, 0) b in
-  rel'
+  fst (process nest_impl st ~parent:b (rel, 0) n.Plan.sub)
 
-and apply_child cat t opts dirs st ~discard_ok ~parent (rel, sorted_prefix)
-    (c : A.child) =
+and apply_node nest_impl st ~parent (rel, sorted_prefix) (n : Plan.node) =
+  let c = n.Plan.child in
   let b = c.A.block in
   let key_schema = Relation.schema rel in
   let key_arity = Schema.arity key_schema in
   let mode =
-    if discard_ok then Discard else Pad (block_positions key_schema parent)
+    if n.Plan.discard_ok then Discard
+    else Pad (block_positions key_schema parent)
   in
-  let contained = self_contained b in
   let sp_after_select =
     match mode with
     | Discard -> key_arity
-    | Pad _ -> key_arity - Array.length (block_positions key_schema parent)
+    | Pad pad -> key_arity - Array.length pad
   in
-  let semi_ok =
-    b.A.children = [] && discard_ok
-    && is_positive_site c
-    && b.A.correlated <> []
-  in
-  let legacy_pick () =
-    if contained && b.A.correlated = [] then P_push []
-    else
-      match (opts.push_down_nest && contained, equi_correlation b) with
-      | true, Some pairs -> P_push pairs
-      | _ ->
-          if opts.positive_simplify && semi_ok then P_semi
-          else if opts.bottom_up_linear && contained then P_bottom None
-          else P_top None
-  in
-  let pick =
-    match List.assoc_opt b.A.id dirs with
-    | Some D_shared_set when contained && b.A.correlated = [] -> P_push []
-    | Some D_push_down when contained -> (
-        match equi_correlation b with
-        | Some pairs -> P_push pairs
-        | None -> legacy_pick ())
-    | Some D_semijoin when semi_ok -> P_semi
-    | Some (D_bottom_up nf) when contained -> P_bottom (Some nf)
-    | Some (D_top_down nf) -> P_top (Some nf)
-    | _ -> legacy_pick ()
-  in
-  match pick with
-  | P_push pairs ->
+  match n.Plan.impl with
+  | Plan.Shared_set | Plan.Push_down ->
       (* §4.2.4: group the reduced child by its correlation key once;
          probe per outer tuple.  With no key (an uncorrelated child)
          the one group is the value set every outer tuple shares — the
          virtual Cartesian product.  Over a shared rows array (a base
          table or its memoized selection) the grouping is built once
          across statements. *)
-      let child_red = reduce_standalone cat t opts dirs st b in
+      let child_red = reduce_standalone nest_impl st n in
       let cschema = Relation.schema child_red in
+      (* no pairs for the shared set: [equi_correlation] is [None] on an
+         uncorrelated block *)
+      let pairs = Option.value ~default:[] (A.equi_correlation b) in
       let keep, verdict =
         Linkeval.verdict_and_keep ~key_schema ~wide_schema:cschema
           ~with_marker:false c
@@ -335,7 +246,7 @@ and apply_child cat t opts dirs st ~discard_ok ~parent (rel, sorted_prefix)
       in
       let rel' = rowwise mode verdict elems_of rel in
       (rel', min sorted_prefix sp_after_select)
-  | P_semi ->
+  | Plan.Semijoin ->
       (* §4.2.5: σ_{AθSOME{B}}(υ(R ⟕_C S)) = R ⋉_{C ∧ AθB} S *)
       let child_rel = Frame.block_relation b in
       let concat = Schema.append key_schema (Relation.schema child_rel) in
@@ -359,20 +270,21 @@ and apply_child cat t opts dirs st ~discard_ok ~parent (rel, sorted_prefix)
       let rel' = J.join J.Semi ~on rel child_rel in
       st.join_seconds <- st.join_seconds +. (now () -. t0);
       (rel', sorted_prefix) (* semijoin preserves left order *)
-  | P_bottom flags ->
+  | Plan.Bottom_up nf ->
       (* §4.2.3: reduce the subquery standalone, then one outer join
          and one nest+selection at this level *)
-      let child_red = reduce_standalone cat t opts dirs st b in
-      join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
-        ~sp_after_select rel c child_red ~recurse:false
-  | P_top flags ->
+      let child_red = reduce_standalone nest_impl st n in
+      join_nest_select nest_impl st nf ~mode ~sorted_prefix ~sp_after_select
+        rel n child_red ~recurse:false
+  | Plan.Top_down nf ->
       (* Algorithm 1, general top-down case *)
       let child_rel = Frame.block_relation b in
-      join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
-        ~sp_after_select rel c child_rel ~recurse:true
+      join_nest_select nest_impl st nf ~mode ~sorted_prefix ~sp_after_select
+        rel n child_rel ~recurse:true
 
-and join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
-    ~sp_after_select rel (c : A.child) child_rel ~recurse =
+and join_nest_select nest_impl st nf ~mode ~sorted_prefix ~sp_after_select
+    rel (n : Plan.node) child_rel ~recurse =
+  let c = n.Plan.child in
   let b = c.A.block in
   let key_schema = Relation.schema rel in
   let concat = Schema.append key_schema (Relation.schema child_rel) in
@@ -391,9 +303,7 @@ and join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
   record_intermediate st wide;
   let wide, wide_sorted_prefix =
     if recurse then
-      process cat t opts dirs st
-        ~discard_ok:(mode = Discard && is_positive_site c)
-        (wide, sorted_prefix) b
+      process nest_impl st ~parent:b (wide, sorted_prefix) n.Plan.sub
     else (wide, sorted_prefix)
   in
   let keep, verdict =
@@ -408,7 +318,7 @@ and join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
       ~rows:(Relation.cardinality wide)
       ~width:(Schema.arity (Relation.schema wide))
       (fun () ->
-        nest_select opts ?flags st ~key_schema ~keep ~verdict ~mode
+        nest_select ~nest_impl nf st ~key_schema ~keep ~verdict ~mode
           ~sorted:(wide_sorted_prefix >= Schema.arity key_schema)
           wide)
   in
@@ -416,7 +326,15 @@ and join_nest_select cat t opts dirs st ?flags ~mode ~sorted_prefix
 
 (* ---------- entry points ---------- *)
 
-let run_where ?(options = optimized) ?(directives = []) cat (t : A.t) =
+(* A handed-in plan is settled first, so a site it got wrong runs
+   [lift]'s choice; one lifted from another analysis is not used. *)
+let plan_of ~options ?directives (t : A.t) =
+  match directives with
+  | Some p when p.Plan.analyzed == t -> Plan.renormalize p
+  | _ -> Plan.lift ~base:options t
+
+let run_where ?(options = optimized) ?directives _cat (t : A.t) =
+  let plan = plan_of ~options ?directives t in
   let st =
     {
       peak_intermediate_rows = 0;
@@ -427,7 +345,8 @@ let run_where ?(options = optimized) ?(directives = []) cat (t : A.t) =
   in
   let rel = Frame.block_relation t.A.root in
   let rel', _ =
-    process cat t options directives st ~discard_ok:true (rel, 0) t.A.root
+    process plan.Plan.base.nest_impl st ~parent:t.A.root (rel, 0)
+      plan.Plan.roots
   in
   (rel', st)
 
@@ -437,7 +356,7 @@ let run ?options ?directives cat t =
 
 (* ---------- plan rendering (no execution) ---------- *)
 
-let plan_description ?(options = optimized) (t : A.t) =
+let plan_description ?(options = optimized) ?directives (t : A.t) =
   let buf = Buffer.create 256 in
   let line depth fmt =
     Format.kasprintf
@@ -483,51 +402,46 @@ let plan_description ?(options = optimized) (t : A.t) =
     if discard_ok then Format.sprintf "σ[%s]" (link_str c)
     else Format.sprintf "σ̄[%s] (pad the owning block)" (link_str c)
   in
-  let rec walk depth ~discard_ok ~frame (p : A.block) =
+  let rec walk depth ~frame nodes =
     List.iter
-      (fun (c : A.child) ->
+      (fun (n : Plan.node) ->
+        let c = n.Plan.child in
         let b = c.A.block in
-        let contained = self_contained b in
-        if contained && b.A.correlated = [] then begin
-          line depth "· subquery T%d is uncorrelated: evaluate once" b.A.id;
-          walk (depth + 1) ~discard_ok:true ~frame:(block_label b) b;
-          line depth "%s, against the shared value set" (sel_str ~discard_ok c)
-        end
-        else if options.push_down_nest && contained
-                && equi_correlation b <> None then begin
-          line depth "· §4.2.4 push-down: reduce T%d standalone" b.A.id;
-          walk (depth + 1) ~discard_ok:true ~frame:(block_label b) b;
-          line depth "group T%d by [%s]; probe per outer tuple; %s" b.A.id
-            (conds b.A.correlated) (sel_str ~discard_ok c)
-        end
-        else if options.positive_simplify && b.A.children = [] && discard_ok
-                && is_positive_site c
-                && b.A.correlated <> [] then
-          line depth "· §4.2.5: %s ⋉[%s ∧ %s] %s" frame
-            (conds b.A.correlated) (link_str c) (block_label b)
-        else if options.bottom_up_linear && contained then begin
-          line depth "· §4.2.3 bottom-up: reduce T%d standalone" b.A.id;
-          walk (depth + 1) ~discard_ok:true ~frame:(block_label b) b;
-          line depth "%s ⟕[%s] T%d; ν by frame keep {linked, key#}; %s" frame
-            (conds b.A.correlated) b.A.id (sel_str ~discard_ok c)
-        end
-        else begin
-          let frame' = frame ^ " ⟕ " ^ block_label b in
-          line depth "%s ⟕[%s] %s" frame
-            (if b.A.correlated = [] then "⨯"
-             else conds b.A.correlated)
-            (block_label b);
-          walk (depth + 1)
-            ~discard_ok:(discard_ok && is_positive_site c)
-            ~frame:frame' b;
-          line depth "ν by {%s …} keep {linked T%d attrs, %s#}; %s%s" frame
-            b.A.id
-            (Format.asprintf "%a" R.pp_expr (R.RCol b.A.marker))
-            (sel_str ~discard_ok c)
-            (if options.pipelined then " (pipelined)" else "")
-        end)
-      p.A.children
+        let sel = sel_str ~discard_ok:n.Plan.discard_ok c in
+        match n.Plan.impl with
+        | Plan.Shared_set ->
+            line depth "· subquery T%d is uncorrelated: evaluate once" b.A.id;
+            walk (depth + 1) ~frame:(block_label b) n.Plan.sub;
+            line depth "%s, against the shared value set" sel
+        | Plan.Push_down ->
+            line depth "· §4.2.4 push-down: reduce T%d standalone" b.A.id;
+            walk (depth + 1) ~frame:(block_label b) n.Plan.sub;
+            line depth "group T%d by [%s]; probe per outer tuple; %s" b.A.id
+              (conds b.A.correlated) sel
+        | Plan.Semijoin ->
+            line depth "· §4.2.5: %s ⋉[%s ∧ %s] %s" frame
+              (conds b.A.correlated) (link_str c) (block_label b)
+        | Plan.Bottom_up _ ->
+            line depth "· §4.2.3 bottom-up: reduce T%d standalone" b.A.id;
+            walk (depth + 1) ~frame:(block_label b) n.Plan.sub;
+            line depth "%s ⟕[%s] T%d; ν by frame keep {linked, key#}; %s" frame
+              (conds b.A.correlated) b.A.id sel
+        | Plan.Top_down nf ->
+            line depth "%s ⟕[%s] %s" frame
+              (if b.A.correlated = [] then "⨯" else conds b.A.correlated)
+              (block_label b);
+            walk (depth + 1)
+              ~frame:(frame ^ " ⟕ " ^ block_label b)
+              n.Plan.sub;
+            line depth "ν by {%s …} keep {linked T%d attrs, %s#}; %s%s" frame
+              b.A.id
+              (Format.asprintf "%a" R.pp_expr (R.RCol b.A.marker))
+              sel
+              (if nf.Plan.pipelined then " (pipelined)"
+               else if nf.Plan.assume_sorted then " (fused)"
+               else ""))
+      nodes
   in
   line 0 "T1 := %s" (block_label t.A.root);
-  walk 0 ~discard_ok:true ~frame:"T1" t.A.root;
+  walk 0 ~frame:"T1" (plan_of ~options ?directives t).Plan.roots;
   Buffer.contents buf

@@ -9,21 +9,12 @@
     positive), σ̄ (pad the owning block's attributes, including its
     carried primary key, with NULL) otherwise.
 
-    The variants of Section 4.2 are selectable:
-    - {b pipelined} (§4.2.1–4.2.2): one shared physical sort (fused
-      consecutive nests — an upper level's nesting attributes are a
-      prefix of the level below, and outer joins preserve the left
-      order, so re-sorts are skipped) and the linking selection
-      evaluated during the group scan, in a single pass;
-    - {b bottom-up for linear correlation} (§4.2.3): a self-contained
-      subquery is reduced standalone so only qualifying tuples join
-      upward;
-    - {b nest push-down} (§4.2.4): with equality correlation, the child
-      is grouped by its correlation key once and probed per outer tuple
-      instead of materializing the outer join;
-    - {b positive simplification} (§4.2.5):
-      σ{_ AθSOME{B}}(υ(R ⟕{_C} S)) → R ⋉{_ C∧AθB} S when discarding is
-      allowed.
+    The variants of Section 4.2 — pipelined nest + linking selection
+    (§4.2.1–4.2.2), bottom-up reduction for linear correlation (§4.2.3),
+    nest push-down (§4.2.4) and positive simplification (§4.2.5) — are
+    chosen per linking site, once, by {!Plan.lift}; the driver walks
+    that plan's nodes and takes each site's implementation and σ/σ̄
+    mode from its node.
 
     No indexes are required anywhere: hash joins, sorts and hashes only. *)
 
@@ -31,7 +22,7 @@ open Nra_relational
 open Nra_storage
 open Nra_planner
 
-type options = {
+type options = Plan.options = {
   pipelined : bool;
   nest_impl : [ `Sort | `Hash ];
   bottom_up_linear : bool;
@@ -40,41 +31,9 @@ type options = {
 }
 
 val original : options
-(** The paper's "original nested relational approach": sort-based nest
-    materialized, separate linking-selection pass. *)
-
 val optimized : options
-(** The paper's "optimized" variant: pipelined nest + linking selection
-    (one pass over the intermediate result). *)
-
 val full : options
-(** Everything in Section 4.2 switched on. *)
-
-type nest_directive = {
-  n_pipelined : bool;
-      (** evaluate the linking selection during the group scan instead of
-          materializing υ (§4.2.1–4.2.2) *)
-  n_assume_sorted : bool;
-      (** fuse with the upstream sort: when the wide input is already
-          key-sorted at runtime, skip the re-sort and stream groups off
-          the run scan.  Checked against the executor's own sorted-prefix
-          tracking, so an over-optimistic directive degrades to the
-          materialized path rather than changing results. *)
-}
-
-(** Per linking site (keyed by block id), which of the five evaluation
-    paths to take.  Directives come from the [lib/opt] rewriter; each is
-    validated against the site's structural preconditions at runtime and
-    silently falls back to the options-driven choice when they no longer
-    hold, so a stale or wrong directive can never change results. *)
-type link_impl =
-  | D_shared_set  (** uncorrelated: evaluate once, share the value set *)
-  | D_push_down  (** §4.2.4 group-by-correlation-key probe *)
-  | D_semijoin  (** §4.2.5 positive linking → plain semijoin *)
-  | D_bottom_up of nest_directive  (** §4.2.3 reduce standalone, then join+nest *)
-  | D_top_down of nest_directive  (** Algorithm 1 general case *)
-
-type directives = (int * link_impl) list
+(** {!Plan.original}, {!Plan.optimized}, {!Plan.full}. *)
 
 type stats = {
   mutable peak_intermediate_rows : int;
@@ -88,22 +47,28 @@ type stats = {
 
 val run_where :
   ?options:options ->
-  ?directives:directives ->
+  ?directives:Plan.t ->
   Catalog.t ->
   Analyze.t ->
   Relation.t * stats
-(** Outer-frame rows satisfying WHERE, plus cost counters. *)
+(** Outer-frame rows satisfying WHERE, plus cost counters.  Runs
+    [Plan.lift ~base:options t], or [directives] (a plan lifted from
+    this same [t], e.g. rewritten by [lib/opt]) after
+    {!Plan.renormalize}: a site whose [impl] does not fit runs [lift]'s
+    choice instead, so the plan never changes the result. *)
 
 val run :
   ?options:options ->
-  ?directives:directives ->
+  ?directives:Plan.t ->
   Catalog.t ->
   Analyze.t ->
   Relation.t
 (** [run_where] followed by output post-processing. *)
 
-val plan_description : ?options:options -> Analyze.t -> string
-(** The operator pipeline the executor would run (the paper's Figure 3b
-    query tree, linearized), without executing anything: one line per
-    join / nest / linking selection, annotated with the σ-vs-σ̄ choice
-    and any §4.2 shortcut taken. *)
+val plan_description :
+  ?options:options -> ?directives:Plan.t -> Analyze.t -> string
+(** The operator pipeline {!run_where} would run with the same
+    arguments (the paper's Figure 3b query tree, linearized), without
+    executing anything: the plan's nodes rendered one line per join /
+    nest / linking selection, annotated with the σ-vs-σ̄ choice and any
+    §4.2 shortcut taken. *)

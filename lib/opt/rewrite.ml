@@ -3,7 +3,7 @@
    improves.
 
    The cost walk below is [Nra_stats.Cost.nra_cost] extended to price
-   what the directives can change: a materialized nest pays a
+   what a rewrite can change: a materialized nest pays a
    materialize-and-rescan pass over its staging, a sort-based nest pays
    a sort pass unless the input is already key-sorted, and a pipelined
    nest pays only the sort (when needed).  Sortedness is tracked as a
@@ -17,7 +17,7 @@ open Nra_storage
 open Nra_planner
 module A = Analyze
 module C = Nra_stats.Cardinality
-module Nx = Nra_exec.Nra
+module Plan = Nra_exec.Plan
 
 type costline = { seq : float; rand : float; fetch : float; ms : float }
 
@@ -42,7 +42,7 @@ let price seq rand fetch =
 (* Charge one nest+linking-selection over [rows] staged tuples; return
    whether its output is key-sorted (the executor's [emitted_sorted]).
    [sorted] is the staging input's static sortedness. *)
-let charge_nest (base : Nx.options) (nf : Plan.nest) ~sorted ~rows acc =
+let charge_nest (base : Plan.options) (nf : Plan.nest) ~sorted ~rows acc =
   let p2 = 2.0 *. pages rows in
   let pipelined = nf.Plan.pipelined || (nf.Plan.assume_sorted && sorted) in
   if pipelined then begin
@@ -53,7 +53,7 @@ let charge_nest (base : Nx.options) (nf : Plan.nest) ~sorted ~rows acc =
   else begin
     (* materialize the nested relation, then a separate selection pass *)
     acc.seq <- acc.seq +. p2;
-    match base.Nx.nest_impl with
+    match base.Plan.nest_impl with
     | `Sort ->
         acc.seq <- acc.seq +. p2;
         true
@@ -114,32 +114,32 @@ let cost_of cat (p : Plan.t) =
 
 (* ---------- rules ---------- *)
 
-(* A rule proposes a new impl for one node, or nothing.  Preconditions
-   mirror the executor's runtime validation exactly, so a proposal that
-   survives the cost gate always takes effect. *)
+(* A rule proposes a new impl for one node, or nothing.  The structural
+   precondition is [Plan.fits], the test the executor settles every plan
+   with, so a proposal that survives the cost gate always takes effect. *)
 let propose (rule : Config.rule) (n : Plan.node) : Plan.impl option =
-  let b = n.Plan.child.A.block in
-  match (rule, n.Plan.impl) with
-  | Config.Semijoin, (Plan.Bottom_up _ | Plan.Top_down _)
-    when b.A.children = [] && n.Plan.discard_ok
-         && A.child_positive n.Plan.child
-         && b.A.correlated <> [] ->
-      Some Plan.Semijoin
-  | Config.Push_down, (Plan.Bottom_up _ | Plan.Top_down _)
-    when A.self_contained b
-         && A.equi_correlation b <> None
-         && b.A.correlated <> [] ->
-      Some Plan.Push_down
-  | Config.Pipeline, Plan.Bottom_up nf when not nf.Plan.pipelined ->
-      Some (Plan.Bottom_up { nf with Plan.pipelined = true })
-  | Config.Pipeline, Plan.Top_down nf when not nf.Plan.pipelined ->
-      Some (Plan.Top_down { nf with Plan.pipelined = true })
-  | Config.Fuse_nests, Plan.Bottom_up nf
-    when (not nf.Plan.pipelined) && not nf.Plan.assume_sorted ->
-      Some (Plan.Bottom_up { nf with Plan.assume_sorted = true })
-  | Config.Fuse_nests, Plan.Top_down nf
-    when (not nf.Plan.pipelined) && not nf.Plan.assume_sorted ->
-      Some (Plan.Top_down { nf with Plan.assume_sorted = true })
+  let candidate =
+    match (rule, n.Plan.impl) with
+    | Config.Semijoin, (Plan.Bottom_up _ | Plan.Top_down _) ->
+        Some Plan.Semijoin
+    | Config.Push_down, (Plan.Bottom_up _ | Plan.Top_down _) ->
+        Some Plan.Push_down
+    | Config.Pipeline, Plan.Bottom_up nf when not nf.Plan.pipelined ->
+        Some (Plan.Bottom_up { nf with Plan.pipelined = true })
+    | Config.Pipeline, Plan.Top_down nf when not nf.Plan.pipelined ->
+        Some (Plan.Top_down { nf with Plan.pipelined = true })
+    | Config.Fuse_nests, Plan.Bottom_up nf
+      when (not nf.Plan.pipelined) && not nf.Plan.assume_sorted ->
+        Some (Plan.Bottom_up { nf with Plan.assume_sorted = true })
+    | Config.Fuse_nests, Plan.Top_down nf
+      when (not nf.Plan.pipelined) && not nf.Plan.assume_sorted ->
+        Some (Plan.Top_down { nf with Plan.assume_sorted = true })
+    | _ -> None
+  in
+  match candidate with
+  | Some impl when Plan.fits ~discard_ok:n.Plan.discard_ok n.Plan.child impl
+    ->
+      candidate
   | _ -> None
 
 (* ---------- the engine ---------- *)
@@ -156,8 +156,7 @@ type trace_entry = {
 }
 
 type result = {
-  plan : Plan.t;
-  dirs : Nx.directives;
+  dirs : Plan.t;
   changed : bool;
   trace : trace_entry list;
   before : costline;
@@ -172,7 +171,7 @@ let rule_order =
 let max_passes = 4
 let eps = 1e-9
 
-let rewrite ?rules cat (analyzed : A.t) ~(base : Nx.options) : result =
+let rewrite ?rules cat (analyzed : A.t) ~(base : Plan.options) : result =
   let rules =
     match rules with Some rs -> rs | None -> Config.rules ()
   in
@@ -236,8 +235,7 @@ let rewrite ?rules cat (analyzed : A.t) ~(base : Nx.options) : result =
       active
   done;
   {
-    plan = !plan;
-    dirs = Plan.directives !plan;
+    dirs = !plan;
     changed = !changed;
     trace = List.rev !trace;
     before;

@@ -1,25 +1,25 @@
-(** Cost-gated rewrite engine over the {!Plan} IR.
+(** Cost-gated rewrite engine over the {!Nra_exec.Plan} IR.
 
     Each enabled rule proposes [impl] edits node by node; an edit is
     applied only when the whole-plan Iosim estimate strictly improves.
     The engine iterates to a bounded fixpoint and returns the rewritten
-    plan, the executor directives compiled from it, and the fired /
-    skipped trace for [explain --costs]. *)
+    plan, which the executor runs as is, and the fired / skipped trace
+    for [explain --costs]. *)
 
 open Nra_storage
 open Nra_planner
-module Nx := Nra_exec.Nra
+module Plan := Nra_exec.Plan
 
 type costline = { seq : float; rand : float; fetch : float; ms : float }
 
 val cost_of : Catalog.t -> Plan.t -> costline
 (** The IR-level Iosim estimate: {!Nra_stats.Cost}'s NRA walk extended
     with nest materialize / sort / pipeline charges, so two plans that
-    differ only in a directive still cost differently. *)
+    differ only in a nest flag still cost differently. *)
 
 val propose : Config.rule -> Plan.node -> Plan.impl option
-(** The rule's structural precondition check: [Some impl] when the rule
-    applies at this node (before any costing). *)
+(** The rule's edit at this node, when {!Nra_exec.Plan.fits} accepts it
+    (before any costing). *)
 
 type verdict = Fired | Skipped of string
 
@@ -33,8 +33,9 @@ type trace_entry = {
 }
 
 type result = {
-  plan : Plan.t;
-  dirs : Nx.directives;
+  dirs : Plan.t;
+      (** the rewritten plan, settled by {!Nra_exec.Plan.renormalize};
+          pass it as [Nra_exec.Nra.run_where ~directives] *)
   changed : bool;
   trace : trace_entry list;
   before : costline;
@@ -45,7 +46,7 @@ val rewrite :
   ?rules:Config.rule list ->
   Catalog.t ->
   Analyze.t ->
-  base:Nx.options ->
+  base:Plan.options ->
   result
 (** Rules default to {!Config.rules} (the global toggle state). *)
 

@@ -5,6 +5,7 @@ module A = Analyze
 module R = Resolved
 module T3 = Three_valued
 module C = Cardinality
+module Plan = Nra_exec.Plan
 
 type strategy =
   | Naive
@@ -195,45 +196,34 @@ let magic_cost env cat (t : A.t) acc =
 
 (* ---------- the nested relational approach ---------- *)
 
-let nra_cost env _cat (opts : Nra_exec.Nra.options) (t : A.t) acc =
-  acc.seq <- acc.seq +. block_scan_pages t.A.root;
-  let outer = C.block_card env t.A.root in
+(* Prices the plan the executor runs ([Plan.lift]), node by node. *)
+let nra_cost env (p : Plan.t) acc =
+  let root = p.Plan.analyzed.A.root in
+  acc.seq <- acc.seq +. block_scan_pages root;
   (* left-outer-join output: every outer tuple survives (padded when
      unmatched), matched ones multiply by the fan-out *)
   let loj_out ~outer b = outer *. Float.max 1.0 (C.fanout env b) in
-  let rec go ~outer (c : A.child) =
-    let b = c.A.block in
-    let contained = A.self_contained b in
-    let equi = A.equi_correlation b <> None in
+  let rec go ~outer (n : Plan.node) =
+    let b = n.Plan.child.A.block in
     acc.seq <- acc.seq +. block_scan_pages b;
-    if contained && b.A.correlated = [] then
-      (* virtual Cartesian product: the subquery is reduced once *)
-      List.iter (go ~outer:(C.block_card env b)) b.A.children
-    else if opts.Nra_exec.Nra.push_down_nest && contained && equi then
-      (* §4.2.4: group the reduced child once, probe per outer tuple *)
-      List.iter (go ~outer:(C.block_card env b)) b.A.children
-    else if
-      opts.Nra_exec.Nra.positive_simplify
-      && b.A.children = []
-      && A.child_positive c
-      && b.A.correlated <> []
-    then
-      (* §4.2.5: semijoin, no wide intermediate *)
-      ()
-    else if opts.Nra_exec.Nra.bottom_up_linear && contained then begin
-      (* §4.2.3: reduce standalone, then one join+nest at this level *)
-      List.iter (go ~outer:(C.block_card env b)) b.A.children;
-      acc.fetch <- acc.fetch +. loj_out ~outer b
-    end
-    else begin
-      (* Algorithm 1: left outer join into the wide intermediate,
-         children join against the widened relation *)
-      let out = loj_out ~outer b in
-      acc.fetch <- acc.fetch +. out;
-      List.iter (go ~outer:out) b.A.children
-    end
+    match n.Plan.impl with
+    | Plan.Shared_set | Plan.Push_down ->
+        (* the subquery is reduced once: the virtual Cartesian product,
+           or §4.2.4's grouping probed per outer tuple *)
+        List.iter (go ~outer:(C.block_card env b)) n.Plan.sub
+    | Plan.Semijoin -> (* §4.2.5: semijoin, no wide intermediate *) ()
+    | Plan.Bottom_up _ ->
+        (* §4.2.3: reduce standalone, then one join+nest at this level *)
+        List.iter (go ~outer:(C.block_card env b)) n.Plan.sub;
+        acc.fetch <- acc.fetch +. loj_out ~outer b
+    | Plan.Top_down _ ->
+        (* Algorithm 1: left outer join into the wide intermediate,
+           children join against the widened relation *)
+        let out = loj_out ~outer b in
+        acc.fetch <- acc.fetch +. out;
+        List.iter (go ~outer:out) n.Plan.sub
   in
-  List.iter (go ~outer) t.A.root.A.children
+  List.iter (go ~outer:(C.block_card env root)) p.Plan.roots
 
 (* ---------- assembly ---------- *)
 
@@ -250,9 +240,9 @@ let estimate cat (t : A.t) strategy =
   | Naive -> naive_cost env cat t acc
   | Classical -> classical_cost env cat t acc
   | Magic -> magic_cost env cat t acc
-  | Nra_original -> nra_cost env cat Nra_exec.Nra.original t acc
-  | Nra_optimized -> nra_cost env cat Nra_exec.Nra.optimized t acc
-  | Nra_full -> nra_cost env cat Nra_exec.Nra.full t acc);
+  | Nra_original -> nra_cost env (Plan.lift ~base:Plan.original t) acc
+  | Nra_optimized -> nra_cost env (Plan.lift ~base:Plan.optimized t) acc
+  | Nra_full -> nra_cost env (Plan.lift ~base:Plan.full t) acc);
   let breakdown =
     { seq_pages = acc.seq; rand_pages = acc.rand; fetched_rows = acc.fetch }
   in

@@ -14,9 +14,11 @@
     - Classical semijoin/antijoin reductions and Magic's pushed
       selections are scan-only (in-memory hash joins);
     - the NRA variants pay the per-tuple engine→procedure fetch for
-      every wide-intermediate tuple they materialize; the §4.2 shortcuts
-      (push-down nest, positive simplification, standalone reduction)
-      skip those fetches exactly where the executor does.
+      every wide-intermediate tuple they materialize.  The estimator
+      walks the executor's own plan ({!Nra_exec.Plan.lift} under the
+      variant's preset), so the §4.2 shortcuts (push-down nest,
+      positive simplification, standalone reduction) skip those fetches
+      exactly at the sites where the executor takes them.
 
     Ties are broken by a fixed preference order —
     Classical > Nra_full > Magic > Nra_optimized > Nra_original > Naive

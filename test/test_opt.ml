@@ -10,7 +10,7 @@
 open Nra
 open Test_support
 module Cfg = Nra.Opt.Config
-module Plan = Nra.Opt.Plan
+module Plan = Nra.Exec.Plan
 module Rw = Nra.Opt.Rewrite
 module Nx = Nra.Exec.Nra_exec
 module An = Nra.Planner.Analyze
@@ -78,8 +78,8 @@ let test_config_epoch () =
 (* ---------- per-rule preconditions on the lifted IR ----------
 
    [Rw.propose] is the structural gate alone (no costing): each rule
-   must offer an edit exactly where the executor's runtime validation
-   would accept the directive. *)
+   must offer an edit exactly where [Plan.fits] — the test the executor
+   settles every plan with — accepts it. *)
 
 let exists_equi =
   "select dname from dept where exists (select * from emp where \
@@ -165,8 +165,8 @@ let test_gate_no_rules () =
   let r = Rw.rewrite ~rules:[] cat (analyze cat exists_equi) ~base:Nx.original in
   Alcotest.(check bool) "no rules, no change" false r.Rw.changed;
   Alcotest.(check int) "no trace" 0 (List.length r.Rw.trace);
-  (* the compiled directives of an unchanged plan just restate the
-     options-driven choice (the core only installs them when [changed]) *)
+  (* an unchanged plan is the lifted one (the core only hands the
+     executor a rewritten plan when [changed]) *)
   Alcotest.(check bool) "unchanged cost" true
     (r.Rw.after.Rw.ms = r.Rw.before.Rw.ms)
 
@@ -190,8 +190,9 @@ let test_gate_monotone () =
           | Rw.Skipped _ -> ())
         r.Rw.trace;
       if r.Rw.changed then
-        Alcotest.(check bool) "a changed plan compiles directives" true
-          (r.Rw.dirs <> []))
+        Alcotest.(check bool) "a changed plan differs from the lifted one"
+          true
+          (Plan.describe r.Rw.dirs <> Plan.describe (lift cat sql)))
     [ exists_equi; not_exists_equi; nested_under_negative; uncorrelated ]
 
 (* ---------- rewritten vs unrewritten: byte-identical CSV ----------
@@ -249,6 +250,45 @@ let test_identity_matrix () =
         [ Some 8; None ])
     [ 0; 2; 4 ];
   reset ()
+
+(* ---------- the identity contract, directly ----------
+
+   A plan whose [impl] does not fit its site — built with
+   [Plan.replace], skipping [propose] — must run [lift]'s choice there:
+   the same CSV as the lifted plan under every NRA preset. *)
+
+let test_unfit_plan_runs_lifted () =
+  reset ();
+  let cat = emp_dept_catalog () in
+  List.iter
+    (fun (sql, id, impl) ->
+      let t = analyze cat sql in
+      (* the check is exercised: the edit does not fit under nra-original *)
+      let n = node_of (Plan.lift ~base:Nx.original t) id in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s does not fit block %d" (Plan.impl_to_string impl)
+           id)
+        false
+        (Plan.fits ~discard_ok:n.Plan.discard_ok n.Plan.child impl);
+      List.iter
+        (fun (name, options) ->
+          let csv ?directives () =
+            Relation.to_csv (Nx.run ~options ?directives cat t)
+          in
+          let bad = Plan.replace (Plan.lift ~base:options t) ~id ~impl in
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %s at block %d: %s" name
+               (Plan.impl_to_string impl) id sql)
+            (csv ()) (csv ~directives:bad ()))
+        [
+          ("nra-original", Nx.original);
+          ("nra-optimized", Nx.optimized);
+          ("nra-full", Nx.full);
+        ])
+    [
+      (nested_under_negative, 3, Plan.Semijoin);
+      (non_equi_corr, 2, Plan.Push_down);
+    ]
 
 (* ---------- plan cache keys on the rewrite signature ---------- *)
 
@@ -385,8 +425,12 @@ let () =
           Alcotest.test_case "monotone estimates" `Quick test_gate_monotone;
         ] );
       ( "identity",
-        [ Alcotest.test_case "rewritten = unrewritten" `Slow
-            test_identity_matrix ] );
+        [
+          Alcotest.test_case "rewritten = unrewritten" `Slow
+            test_identity_matrix;
+          Alcotest.test_case "unfit plan runs lifted" `Quick
+            test_unfit_plan_runs_lifted;
+        ] );
       ( "plan-cache",
         [ Alcotest.test_case "keyed on rewrite signature" `Quick
             test_plan_cache_key ] );

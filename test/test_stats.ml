@@ -258,6 +258,72 @@ let test_auto_within_tolerance () =
              best rows))
     [ 500.; 16_000. ]
 
+(* ---------- the estimator prices the executor's plan ----------
+
+   Below a negative top-down parent (Figure 7(b)/(c): Query 3a with
+   ALL over EXISTS) the positive leaf must NULL-pad (σ̄), so nra-full
+   cannot take §4.2.5's semijoin there and runs the same plan as
+   nra-optimized.  An estimator that decided the semijoin on its own,
+   without the σ̄ condition, priced a plan that never runs. *)
+
+let analyzed cat sql =
+  match Planner.Analyze.analyze_string cat sql with
+  | Ok t -> t
+  | Error m -> Alcotest.fail m
+
+let q3a variant =
+  let size_lo, size_hi =
+    Tpch.Queries.size_window ~outer_fraction:(12_000. /. 200_000.)
+  in
+  Tpch.Queries.q3 ~quant:Tpch.Queries.All ~exists:true ~variant ~size_lo
+    ~size_hi
+    ~availqty_max:(Tpch.Queries.availqty_bound ~fraction:(16_000. /. 800_000.))
+    ~quantity:25
+
+let test_sigma_bar_leaf_priced_as_run () =
+  let cat =
+    Tpch.Gen.generate { Tpch.Gen.default with Tpch.Gen.scale = 0.01 }
+  in
+  (match Nra.exec cat "analyze" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  List.iter
+    (fun (name, variant) ->
+      let t = analyzed cat (q3a variant) in
+      let fetched s =
+        (Stats.Cost.estimate cat t s).Stats.Cost.breakdown
+          .Stats.Cost.fetched_rows
+      in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "Query 3a(%s): nra-full fetched = nra-optimized" name)
+        (fetched Stats.Cost.Nra_optimized)
+        (fetched Stats.Cost.Nra_full))
+    [ ("b", Tpch.Queries.B); ("c", Tpch.Queries.C) ]
+
+(* The same misestimate made Auto's attempt budget kill nra-full and
+   rerun nra-optimized on this text, over the catalog [nra-cli query]
+   builds at its defaults. *)
+let test_auto_no_fallback_on_sigma_bar_leaf () =
+  let sql =
+    "select p_partkey, p_name from part where p_size >= 1 and p_size <= 25 \
+     and p_retailprice < all (select ps_supplycost from partsupp where \
+     ps_partkey = p_partkey and ps_availqty < 5000 and exists (select * \
+     from lineitem where p_partkey <> l_partkey and ps_suppkey = l_suppkey \
+     and l_quantity = 20))"
+  in
+  let cat = Tpch.Gen.generate Tpch.Gen.default in
+  Tpch.Gen.add_benchmark_indexes cat;
+  (match Nra.exec cat "analyze" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let csv strategy = Relation.to_csv (Nra.query_exn ~strategy cat sql) in
+  let expected = csv Nra.Nra_optimized in
+  Guard.reset_events ();
+  let auto = csv Nra.Auto in
+  Alcotest.(check int) "no auto fallback" 0
+    (Guard.events ()).Guard.auto_fallbacks;
+  Alcotest.(check string) "auto = nra-optimized" expected auto
+
 (* ---------- budget-aware pick (Guard.remaining -> Cost.pick) ---------- *)
 
 let test_budget_pick_flips () =
@@ -330,5 +396,9 @@ let () =
             test_auto_within_tolerance;
           Alcotest.test_case "budget-aware pick flips" `Quick
             test_budget_pick_flips;
+          Alcotest.test_case "sigma-bar leaf priced as run" `Slow
+            test_sigma_bar_leaf_priced_as_run;
+          Alcotest.test_case "no fallback on a sigma-bar leaf" `Slow
+            test_auto_no_fallback_on_sigma_bar_leaf;
         ] );
     ]
